@@ -57,8 +57,6 @@ class CoreSearchState:
     population: list[Solution]
     generation: int
     best: Solution
-    no_improvement_stretch: int = 0
-    best_found_at: int = 0  # generation when best last improved
 
 
 @dataclass
@@ -210,21 +208,17 @@ def generation_step(s: CoreSearchState, e: BudgetedEvaluator,
         for sol in exc.partial:
             if sol.f < s.best.f:
                 s.best = sol.copy()
-                s.best_found_at = s.generation + 1
         raise
 
     improved = [sol for sol in offspring if sol.f < s.best.f]
     if improved:
         winner = min(improved, key=lambda sol: sol.f)
         s.best = winner.copy()
-        s.no_improvement_stretch = 0
-        s.best_found_at = s.generation + 1
         spread = s.multiplier * s.stddev
         beyond = np.any(np.abs(winner.x - s.mean) > spread)
         if beyond:
             s.multiplier = min(s.multiplier * MULTIPLIER_INCREASE, MULTIPLIER_CAP)
     else:
-        s.no_improvement_stretch += 1
         s.multiplier *= MULTIPLIER_DECREASE
 
     s.population = offspring + [s.best.copy()]
@@ -237,7 +231,7 @@ def check_reexploration(s: CoreSearchState, archive: "ElitistArchive",
     """True when the search's best shares a niche with the nearest elite."""
     if len(archive) == 0:
         return False
-    elite = archive.nearest(s.best.x)
+    elite = archive.elites[archive.nearest_index(s.best.x)]
     try:
         outcome = hill_valley_test(s.best, elite, REEXPLORATION_TEST_POINTS, e)
     except BudgetExhausted:
@@ -280,7 +274,7 @@ def run_core_search(c: Cluster, pop_size: int, archive: "ElitistArchive",
         # fit as this search's best; a worse elite marks a niche whose
         # previous search was cut short, so this one is allowed to finish.
         if (state.generation % REEXPLORATION_PERIOD == 0 and len(archive)
-                and archive.nearest(state.best.x).f <= state.best.f
+                and archive.elites[archive.nearest_index(state.best.x)].f <= state.best.f
                 and check_reexploration(state, archive, e)):
             return (state.best, TerminationReason.REEXPLORED_NICHE,
                     state.generation)

@@ -6,9 +6,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import benchmarks
@@ -33,6 +34,8 @@ class CampaignConfig:
     def __post_init__(self):
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
+        if self.jobs < 1:
+            raise ValueError("jobs must be >= 1")
         if self.epsilon < DEFAULT_EPSILON:
             raise ValueError(f"epsilon must be >= {DEFAULT_EPSILON}")
 
@@ -58,8 +61,10 @@ def _single_run(problem_id: int, seed: int, epsilon: float) -> tuple[RunReport, 
     return report, score(report.solutions, spec, epsilon, report.evaluations)
 
 
-def _run_args(args) -> tuple[int, int, float]:
-    return args
+def pool_workers(jobs: int, n_tasks: int, cpu_count: int | None) -> int:
+    """Worker processes for a campaign: ``jobs``, capped by the task
+    count and the CPU count (taken as 1 when unknown)."""
+    return max(1, min(jobs, n_tasks, cpu_count or 1))
 
 
 def cmd_list(problem_ids: list[int] | None = None, out=None) -> int:
@@ -85,8 +90,9 @@ def cmd_run(config: CampaignConfig, out=None) -> int:
 
     tasks = [(pid, config.base_seed + i, config.epsilon)
              for pid in config.problem_ids for i in range(config.runs)]
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+    workers = pool_workers(config.jobs, len(tasks), os.cpu_count())
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_single_run_star, tasks))
     else:
         results = [_single_run(*t) for t in tasks]

@@ -52,11 +52,8 @@ class ElitistArchive:
             return DEFAULT_GEN_CAP
         return max(self._max_insertion_generation, 1)
 
-    def nearest(self, x: np.ndarray) -> Solution:
-        xs = np.array([s.x for s in self.elites])
-        return self.elites[int(np.argmin(np.linalg.norm(xs - x, axis=1)))]
-
     def nearest_index(self, x: np.ndarray) -> int:
+        """Index of the elite closest to ``x`` (first one on ties)."""
         xs = np.array([s.x for s in self.elites])
         return int(np.argmin(np.linalg.norm(xs - x, axis=1)))
 
@@ -150,7 +147,7 @@ def _precheck_skip(cluster_best: Solution, archive: ElitistArchive,
     """
     if not archive.elites:
         return False
-    elite = archive.nearest(cluster_best.x)
+    elite = archive.elites[archive.nearest_index(cluster_best.x)]
     if elite.f > cluster_best.f:
         return False
     outcome = hill_valley_test(cluster_best, elite, ARCHIVE_TEST_POINTS, e)

@@ -7,8 +7,8 @@ negation before comparing against declared optima.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -34,8 +34,14 @@ class DimensionMismatch(ValueError):
 class ProblemSpec:
     """Static description of one optimization problem.
 
-    ``objective`` maps an (n, d) array to n published-orientation values.
-    When ``maximize`` is true, internal fitness is the negated value.
+    ``objective`` maps an (n, d) array to an (n,) array of
+    published-orientation values. It must be row-wise: a row's value may
+    not depend on the other rows of the batch, because the algorithm
+    evaluates the same point alone or among many others and relies on
+    getting the same value. The evaluator rejects output of any other
+    shape, and a non-finite value (NaN or +-inf) counts as the worst
+    fitness. When ``maximize`` is true, internal fitness is the negated
+    value.
     """
 
     id: int
@@ -101,17 +107,15 @@ class BudgetedEvaluator:
         if x.shape != (self.spec.dimension,):
             raise DimensionMismatch(
                 f"expected vector of length {self.spec.dimension}, got shape {x.shape}")
-        if self.used >= self.spec.budget:
-            raise BudgetExhausted()
-        value = float(self.spec.objective(x[None, :])[0])
-        self.used += 1
-        return Solution(x.copy(), float(self.spec.to_internal(value)))
+        return self.evaluate_batch(x[None, :])[0]
 
     def evaluate_batch(self, xs: np.ndarray) -> list[Solution]:
         """Evaluate the rows of ``xs``; one budget unit per row.
 
         If the budget runs out mid-batch, the rows that still fit are
-        evaluated and attached to the raised ``BudgetExhausted``.
+        evaluated and attached to the raised ``BudgetExhausted``. Objective
+        output of a shape other than (rows,) raises ``ValueError``;
+        non-finite values become +inf.
         """
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.spec.dimension:
@@ -121,10 +125,16 @@ class BudgetedEvaluator:
         fit = min(n, self.remaining)
         sols: list[Solution] = []
         if fit > 0:
-            values = self.spec.to_internal(
-                np.asarray(self.spec.objective(xs[:fit]), dtype=float))
+            values = np.asarray(self.spec.objective(xs[:fit]), dtype=float)
+            if values.shape != (fit,):
+                raise ValueError(
+                    f"objective of problem {self.spec.id} returned shape "
+                    f"{values.shape} for {fit} rows; expected ({fit},)")
+            values = self.spec.to_internal(values)
+            values = np.where(np.isfinite(values), values, np.inf)  # worst
             self.used += fit
-            sols = [Solution(xs[i].copy(), float(values[i])) for i in range(fit)]
+            # Each solution holds its own row of one fresh copy of the batch.
+            sols = [Solution(x, f) for x, f in zip(xs[:fit].copy(), values.tolist())]
         if fit < n:
             raise BudgetExhausted(partial=sols)
         return sols

@@ -1,0 +1,90 @@
+"""The sequential hill-valley clustering, kept as the reference that the
+batched ``hillvallea.hillvalley.cluster_population`` must match: same
+clusters, same member order, same evaluations. Every test point is
+evaluated on its own, and each test stops at its first violator.
+"""
+
+import numpy as np
+from scipy.spatial import cKDTree
+
+from hillvallea.hillvalley import (EXTRA_ATTEMPTS_PER_DIM, MAX_TEST_POINTS,
+                                   Cluster, HillValleyOutcome,
+                                   expected_edge_length)
+from hillvallea.problem import BudgetExhausted
+
+
+def hill_valley_test(a, b, n_test, e):
+    if np.array_equal(a.x, b.x):
+        return HillValleyOutcome(True, [])
+    worst = max(a.f, b.f)
+    accepted = []
+    for k in range(1, n_test + 1):
+        sol = e.evaluate(a.x + (k / (n_test + 1)) * (b.x - a.x))
+        if sol.f > worst:
+            return HillValleyOutcome(False, accepted, violator=sol)
+        accepted.append(sol)
+    return HillValleyOutcome(True, accepted)
+
+
+def test_point_count(a, b, edge_length):
+    dist = float(np.linalg.norm(a.x - b.x))
+    return min(MAX_TEST_POINTS, 1 + int(dist / edge_length))
+
+
+def cluster_population(pop, e):
+    spec = e.spec
+    d = spec.dimension
+    order = sorted(range(len(pop)), key=lambda i: (pop[i].f, i))
+    ranked = [pop[i] for i in order]
+    coords = np.array([s.x for s in ranked]) / (spec.upper - spec.lower)
+    edge = expected_edge_length(spec, len(pop))
+
+    clusters = [Cluster([ranked[0]])]
+    cluster_of = [0]
+    max_attempts = 1 + d * EXTRA_ATTEMPTS_PER_DIM
+    n = len(ranked)
+    shortlist_k = min(n, 8 * max_attempts)
+    nn = cKDTree(coords).query(coords, k=shortlist_k)[1] if n > shortlist_k else None
+
+    def better_neighbors(i):
+        seen = set()
+        if nn is not None:
+            for j in nn[i]:
+                if j < i:
+                    seen.add(int(j))
+                    yield int(j)
+            if len(seen) == i:
+                return
+        dists = ((coords[:i] - coords[i]) ** 2).sum(axis=1)
+        for j in np.argsort(dists, kind="stable"):
+            if int(j) not in seen:
+                yield int(j)
+
+    for i in range(1, n):
+        x = ranked[i]
+        pending = []
+        tried = set()
+        placed = False
+        try:
+            for j in better_neighbors(i):
+                cid = cluster_of[j]
+                if tried and cid in tried:
+                    continue
+                if len(tried) >= max_attempts:
+                    break
+                tried.add(cid)
+                outcome = hill_valley_test(
+                    x, ranked[j], test_point_count(x, ranked[j], edge), e)
+                pending.extend(outcome.accepted_tests)
+                if outcome.same_niche:
+                    clusters[cid].members.append(x)
+                    clusters[cid].members.extend(pending)
+                    cluster_of.append(cid)
+                    placed = True
+                    break
+        except BudgetExhausted:
+            return clusters
+        if not placed:
+            clusters.append(Cluster([x] + pending))
+            cluster_of.append(len(clusters) - 1)
+    return clusters

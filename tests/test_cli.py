@@ -4,7 +4,7 @@ import io
 import pytest
 
 from hillvallea.cli import (CSV_HEADER, CampaignConfig, cmd_list, main,
-                            parse_problem_ids)
+                            parse_problem_ids, pool_workers)
 
 
 class TestParseProblemIds:
@@ -33,6 +33,23 @@ class TestCampaignConfig:
     def test_rejects_epsilon_below_scoring_floor(self):
         with pytest.raises(ValueError):
             CampaignConfig(problem_ids=[1], epsilon=1e-6)
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_rejects_jobs_below_one(self, jobs):
+        with pytest.raises(ValueError, match="jobs"):
+            CampaignConfig(problem_ids=[1], jobs=jobs)
+
+
+class TestPoolWorkers:
+    @pytest.mark.parametrize("jobs, n_tasks, cpus, expected", [
+        (1, 10, 8, 1),
+        (4, 10, 8, 4),
+        (4, 3, 8, 3),    # no more workers than tasks
+        (8, 10, 2, 2),   # no more workers than cores
+        (4, 10, None, 1),  # unknown core count
+    ])
+    def test_caps_by_tasks_and_cores(self, jobs, n_tasks, cpus, expected):
+        assert pool_workers(jobs, n_tasks, cpus) == expected
 
 
 class TestListCommand:
@@ -98,6 +115,13 @@ class TestRunCommand:
                    "--out", str(tmp_path / "r.csv")])
         assert rc == 1
         assert "epsilon" in capfd.readouterr().err
+
+    def test_zero_jobs_fails_cleanly(self, tmp_path, capfd):
+        rc = main(["run", "--problems", "2", "--jobs", "0",
+                   "--out", str(tmp_path / "r.csv")])
+        assert rc == 1
+        assert "jobs" in capfd.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
 
 
 class TestScoreCommand:

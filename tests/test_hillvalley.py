@@ -1,13 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hillvallea.hillvalley import cluster_population, expected_edge_length
+from hillvallea.hillvalley import (MAX_TEST_POINTS, cluster_population,
+                                   expected_edge_length)
 from hillvallea.hillvalley import hill_valley_test
 from hillvallea.hillvalley import test_point_count as point_count
 from hillvallea.problem import BudgetedEvaluator, Solution
 
+import reference_clustering as ref
 from conftest import double_well, sphere, synthetic_spec
 
 
@@ -130,3 +134,63 @@ def test_test_point_count_scales_with_distance():
     far = [_sol(e, 1.0), _sol(e, 9.0)]
     assert point_count(near[0], near[1], edge) == 1
     assert point_count(far[0], far[1], edge) == 5  # capped
+
+
+def _wells(X):
+    # several valleys per axis on [-2, 2]^d, so first tests often fail
+    return np.cos(5.0 * X).sum(axis=1)
+
+
+def _assert_same_clusters(got, want, pop):
+    pop_ids = {id(s) for s in pop}
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert len(g.members) == len(w.members)
+        for a, b in zip(g.members, w.members):
+            if id(b) in pop_ids:
+                assert a is b
+            else:
+                assert id(a) not in pop_ids
+                assert a.x.tobytes() == b.x.tobytes() and a.f == b.f
+
+
+class TestBatchedClusteringEquivalence:
+    """The batched clustering against the sequential reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(d=st.integers(1, 2), n=st.integers(1, 70),
+           fn=st.sampled_from([_wells, double_well, sphere]),
+           grid=st.booleans(), extra=st.integers(0, 400),
+           seed=st.integers(0, 2 ** 16))
+    def test_same_clusters_and_evaluations(self, d, n, fn, grid, extra, seed):
+        spec = synthetic_spec(fn, [-2.0] * d, [2.0] * d, [[0.0] * d])
+        rng = np.random.default_rng(seed)
+        # a coarse grid repeats points, so identical endpoints occur
+        xs = (rng.integers(-4, 5, (n, d)) / 2.0 if grid
+              else rng.uniform(-2.0, 2.0, (n, d)))
+        pop = BudgetedEvaluator(spec).evaluate_batch(xs)
+        # small extras run out of budget part way through clustering
+        spec = replace(spec, budget=n + extra)
+        e_new, e_ref = BudgetedEvaluator(spec, used=n), BudgetedEvaluator(spec, used=n)
+        got = cluster_population(pop, e_new)
+        want = ref.cluster_population(pop, e_ref)
+        _assert_same_clusters(got, want, pop)
+        assert e_new.used == e_ref.used <= spec.budget
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_unimodal_population_takes_few_objective_calls(self, d):
+        calls = []
+
+        def counted_sphere(X):
+            calls.append(len(X))
+            return sphere(X)
+
+        spec = synthetic_spec(counted_sphere, [-2.0] * d, [2.0] * d, [[0.0] * d])
+        e = BudgetedEvaluator(spec)
+        pop = e.evaluate_batch(np.random.default_rng(0).uniform(-2, 2, (300, d)))
+        calls.clear()
+        clusters = cluster_population(pop, e)
+        # convex: every first test passes, so one call per test-point round
+        assert len(clusters) == 1
+        assert 1 <= len(calls) <= MAX_TEST_POINTS
+        assert sum(calls) == e.used - 300

@@ -72,7 +72,7 @@ class TestArchiveInsert:
         a = ElitistArchive()
         archive_insert(a, _sol(double_well_eval, 1.0), 1, double_well_eval)
         archive_insert(a, _sol(double_well_eval, -1.0), 1, double_well_eval)
-        assert a.nearest(np.array([0.8])).x[0] == pytest.approx(1.0)
+        assert a.elites[a.nearest_index(np.array([0.8]))].x[0] == pytest.approx(1.0)
         assert a.nearest_index(np.array([-0.4])) == 1
 
 
@@ -187,6 +187,18 @@ class TestFullRun:
         report = run_hillvallea(spec, seed=4)
         assert report.evaluations <= 10
         assert len(report.solutions) == 1
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_nan_region_counts_as_worst(self, seed):
+        # NaN left of the ridge used to poison the archive: seed 2
+        # returned an empty report
+        def nan_left(X):
+            return np.where(X[:, 0] < 0.0, np.nan, double_well(X))
+
+        spec = synthetic_spec(nan_left, [-2.0], [2.0], [[1.0]], budget=20000,
+                              radius=0.2)
+        report = run_hillvallea(spec, seed=seed)
+        assert [s.x[0] for s in report.solutions] == [pytest.approx(1.0, abs=1e-4)]
 
     def test_published_orientation(self):
         # synthetic specs minimize, so published fitness equals internal

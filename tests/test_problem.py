@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -84,3 +86,32 @@ def test_clamp_repairs_out_of_bounds():
     spec = get_problem(5)
     repaired = spec.clamp(np.array([[5.0, -9.0]]))
     assert np.allclose(repaired, [[1.9, -1.1]])
+
+
+@pytest.mark.parametrize("extra", [1, -1])
+def test_wrong_length_objective_output_rejected(extra):
+    def ragged(X):
+        return np.zeros(len(X) + extra)
+
+    e = BudgetedEvaluator(synthetic_spec(ragged, [-1.0], [1.0], [[0.0]]))
+    with pytest.raises(ValueError, match="expected \\(3,\\)"):
+        e.evaluate_batch(np.zeros((3, 1)))
+    with pytest.raises(ValueError, match="expected \\(1,\\)"):
+        e.evaluate(np.zeros(1))
+    assert e.used == 0
+
+
+def test_column_shaped_objective_output_rejected():
+    e = BudgetedEvaluator(synthetic_spec(lambda X: X, [-1.0], [1.0], [[0.0]]))
+    with pytest.raises(ValueError, match="shape \\(2, 1\\)"):
+        e.evaluate_batch(np.zeros((2, 1)))
+
+
+@pytest.mark.parametrize("maximize", [False, True])
+def test_non_finite_values_count_as_worst(maximize):
+    def holes(X):
+        return np.array([np.nan, np.inf, -np.inf, 2.0])[:len(X)]
+
+    spec = replace(synthetic_spec(holes, [-1.0], [1.0], [[0.0]]), maximize=maximize)
+    sols = BudgetedEvaluator(spec).evaluate_batch(np.zeros((4, 1)))
+    assert [s.f for s in sols] == [np.inf, np.inf, np.inf, spec.to_internal(2.0)]
