@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .hillvalley import Cluster, hill_valley_test
-from .problem import BudgetedEvaluator, BudgetExhausted, Solution
+from .problem import BudgetedEvaluator, BudgetExhausted, Solution, best_of
 
 if TYPE_CHECKING:
     from .orchestrator import ElitistArchive
@@ -54,7 +54,7 @@ class CoreSearchState:
     mean: np.ndarray
     stddev: np.ndarray
     multiplier: float
-    population: list[Solution]
+    population: tuple[np.ndarray, np.ndarray]  # (x, f)
     generation: int
     best: Solution
 
@@ -145,36 +145,31 @@ def init_from_cluster(c: Cluster, pop_size: int, e: BudgetedEvaluator,
     very tight cluster would otherwise start with near-zero variance and
     converge on the spot without descending into its valley.
     """
-    if not c.members:
+    if not len(c):
         raise ValueError("cluster must be non-empty")
-    xs = np.array([m.x for m in c.members])
-    mean = xs.mean(axis=0)
-    if len(c.members) > 1:
-        stddev = xs.std(axis=0, ddof=1)
+    mean = c.x.mean(axis=0)
+    if len(c) > 1:
+        stddev = c.x.std(axis=0, ddof=1)
     else:
         stddev = np.zeros(e.spec.dimension)
     stddev = np.maximum(stddev, _stddev_floor(e.spec))
     if min_spread is not None:
         stddev = np.maximum(stddev, min_spread)
-    population = [m.copy() for m in c.members]
-    n_extra = pop_size - len(population)
+    pop_x, pop_f = c.x, c.f
+    n_extra = pop_size - len(c)
     if n_extra > 0:
         samples = e.spec.clamp(
             mean + stddev * rng.standard_normal((n_extra, e.spec.dimension)))
         try:
-            population.extend(e.evaluate_batch(samples))
+            x, f = e.evaluate_batch(samples)
         except BudgetExhausted as exc:
-            population.extend(exc.partial)
-            exc.partial = population
+            x, f = exc.partial
+            exc.partial = (np.vstack([pop_x, x]), np.concatenate([pop_f, f]))
             raise
-    best = min(population, key=lambda s: s.f).copy()
+        pop_x, pop_f = np.vstack([pop_x, x]), np.concatenate([pop_f, f])
     return CoreSearchState(mean=mean, stddev=stddev, multiplier=1.0,
-                           population=population, generation=0, best=best)
-
-
-def _select(population: list[Solution]) -> list[Solution]:
-    n_sel = math.ceil(SELECTION_FRACTION * len(population))
-    return sorted(population, key=lambda s: s.f)[:n_sel]
+                           population=(pop_x, pop_f), generation=0,
+                           best=best_of(pop_x, pop_f))
 
 
 def generation_step(s: CoreSearchState, e: BudgetedEvaluator,
@@ -186,10 +181,11 @@ def generation_step(s: CoreSearchState, e: BudgetedEvaluator,
     propagates.
     """
     spec = e.spec
-    pop_size = len(s.population)
-    selection = _select(s.population)
-    a_g = float(np.mean([sol.f for sol in selection]))
-    sel_x = np.array([sol.x for sol in selection])
+    pop_x, pop_f = s.population
+    pop_size = len(pop_f)
+    selection = np.argsort(pop_f, kind="stable")[:math.ceil(SELECTION_FRACTION * pop_size)]
+    a_g = float(np.mean(pop_f[selection]))
+    sel_x = pop_x[selection]
 
     old_mean = s.mean
     s.mean = sel_x.mean(axis=0)
@@ -203,25 +199,23 @@ def generation_step(s: CoreSearchState, e: BudgetedEvaluator,
     xs = spec.clamp(xs)
 
     try:
-        offspring = e.evaluate_batch(xs)
+        off_x, off_f = e.evaluate_batch(xs)
     except BudgetExhausted as exc:
-        for sol in exc.partial:
-            if sol.f < s.best.f:
-                s.best = sol.copy()
+        x, f = exc.partial
+        if len(f) and f.min() < s.best.f:
+            s.best = best_of(x, f)
         raise
 
-    improved = [sol for sol in offspring if sol.f < s.best.f]
-    if improved:
-        winner = min(improved, key=lambda sol: sol.f)
-        s.best = winner.copy()
+    if off_f.min() < s.best.f:
+        s.best = best_of(off_x, off_f)
         spread = s.multiplier * s.stddev
-        beyond = np.any(np.abs(winner.x - s.mean) > spread)
+        beyond = np.any(np.abs(s.best.x - s.mean) > spread)
         if beyond:
             s.multiplier = min(s.multiplier * MULTIPLIER_INCREASE, MULTIPLIER_CAP)
     else:
         s.multiplier *= MULTIPLIER_DECREASE
 
-    s.population = offspring + [s.best.copy()]
+    s.population = (np.vstack([off_x, s.best.x]), np.append(off_f, s.best.f))
     s.generation += 1
     return a_g
 
@@ -231,7 +225,7 @@ def check_reexploration(s: CoreSearchState, archive: "ElitistArchive",
     """True when the search's best shares a niche with the nearest elite."""
     if len(archive) == 0:
         return False
-    elite = archive.elites[archive.nearest_index(s.best.x)]
+    elite = archive.elite(archive.nearest_index(s.best.x))
     try:
         outcome = hill_valley_test(s.best, elite, REEXPLORATION_TEST_POINTS, e)
     except BudgetExhausted:
@@ -252,9 +246,7 @@ def run_core_search(c: Cluster, pop_size: int, archive: "ElitistArchive",
     try:
         state = init_from_cluster(c, pop_size, e, rng, min_spread=min_spread)
     except BudgetExhausted as exc:
-        best = min(exc.partial, key=lambda s: s.f).copy() if exc.partial \
-            else c.best_solution.copy()
-        return best, TerminationReason.BUDGET_EXHAUSTED, 0
+        return best_of(*exc.partial), TerminationReason.BUDGET_EXHAUSTED, 0
 
     tracker = ConvergenceTracker(b=archive.best_fitness) if len(archive) else None
 
@@ -274,7 +266,7 @@ def run_core_search(c: Cluster, pop_size: int, archive: "ElitistArchive",
         # fit as this search's best; a worse elite marks a niche whose
         # previous search was cut short, so this one is allowed to finish.
         if (state.generation % REEXPLORATION_PERIOD == 0 and len(archive)
-                and archive.elites[archive.nearest_index(state.best.x)].f <= state.best.f
+                and archive.f[archive.nearest_index(state.best.x)] <= state.best.f
                 and check_reexploration(state, archive, e)):
             return (state.best, TerminationReason.REEXPLORED_NICHE,
                     state.generation)

@@ -32,6 +32,8 @@ class CampaignConfig:
     reports_dir: str | None = None
 
     def __post_init__(self):
+        if not self.problem_ids:
+            raise ValueError("no problems selected")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
         if self.jobs < 1:
@@ -41,18 +43,33 @@ class CampaignConfig:
 
 
 def parse_problem_ids(text: str) -> list[int]:
-    """Parse '1-5,7,10' style problem selections."""
+    """Parse '1-5,7,10' style problem selections.
+
+    A reversed range such as '5-1' and a selection of no problems raise
+    ``ValueError``.
+    """
     ids: list[int] = []
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
         if "-" in part:
-            lo, hi = part.split("-", 1)
-            ids.extend(range(int(lo), int(hi) + 1))
+            lo, hi = (int(v) for v in part.split("-", 1))
+            if lo > hi:
+                raise ValueError(f"reversed problem range '{part}'")
+            ids.extend(range(lo, hi + 1))
         else:
             ids.append(int(part))
+    if not ids:
+        raise ValueError(f"no problems selected by '{text}'")
     return sorted(set(ids))
+
+
+def _problem_ids_arg(text: str) -> list[int]:
+    try:
+        return parse_problem_ids(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _single_run(problem_id: int, seed: int, epsilon: float) -> tuple[RunReport, Score]:
@@ -163,10 +180,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_list = sub.add_parser("list", help="list the benchmark catalog")
-    p_list.add_argument("--problems", type=parse_problem_ids, default=None)
+    p_list.add_argument("--problems", type=_problem_ids_arg, default=None)
 
     p_run = sub.add_parser("run", help="run a seeded benchmark campaign")
-    p_run.add_argument("--problems", type=parse_problem_ids, required=True)
+    p_run.add_argument("--problems", type=_problem_ids_arg, required=True)
     p_run.add_argument("--runs", type=int, default=50)
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)

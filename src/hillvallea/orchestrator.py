@@ -13,7 +13,7 @@ from . import amalgam
 from .amalgam import TerminationReason, run_core_search
 from .hillvalley import cluster_population, hill_valley_test
 from .problem import (BudgetedEvaluator, BudgetExhausted, ProblemSpec,
-                      Solution, uniform_init)
+                      Solution, best_of, uniform_init)
 
 INITIAL_POP_PER_DIM = 2 ** 6
 RESTART_GROWTH = 2
@@ -32,30 +32,47 @@ def min_core_population(dimension: int) -> int:
 
 @dataclass
 class ElitistArchive:
-    """Distinct-niche best solutions found so far."""
+    """Distinct-niche best solutions found so far.
 
-    elites: list[Solution] = field(default_factory=list)
-    insertion_generation: list[int] = field(default_factory=list)
-    _max_insertion_generation: int = 0
+    The elites are the rows of one (k, d) matrix ``x`` with fitness ``f``;
+    ``max_generation`` is the most generations any inserted core search
+    took.
+    """
+
+    x: np.ndarray | None = None
+    f: np.ndarray = field(default_factory=lambda: np.empty(0))
+    max_generation: int = 0
 
     def __len__(self) -> int:
-        return len(self.elites)
+        return len(self.f)
 
     @property
     def best_fitness(self) -> float:
-        return min(s.f for s in self.elites)
+        return float(self.f.min())
 
     @property
     def gen_cap(self) -> int:
         """Max generations any core search needed to find an elite."""
-        if not self.elites:
+        if not len(self):
             return DEFAULT_GEN_CAP
-        return max(self._max_insertion_generation, 1)
+        return max(self.max_generation, 1)
+
+    def elite(self, i: int) -> Solution:
+        return Solution(self.x[i], float(self.f[i]))
 
     def nearest_index(self, x: np.ndarray) -> int:
         """Index of the elite closest to ``x`` (first one on ties)."""
-        xs = np.array([s.x for s in self.elites])
-        return int(np.argmin(np.linalg.norm(xs - x, axis=1)))
+        return int(np.argmin(np.linalg.norm(self.x - x, axis=1)))
+
+    def add(self, s: Solution, gens: int) -> None:
+        self.x = s.x[None, :].copy() if self.x is None else np.vstack([self.x, s.x])
+        self.f = np.append(self.f, s.f)
+        self.max_generation = max(self.max_generation, gens)
+
+    def replace(self, i: int, s: Solution, gens: int) -> None:
+        self.x[i] = s.x
+        self.f[i] = s.f
+        self.max_generation = max(self.max_generation, gens)
 
 
 def archive_insert(a: ElitistArchive, s: Solution, gens: int,
@@ -66,35 +83,29 @@ def archive_insert(a: ElitistArchive, s: Solution, gens: int,
     appends, a same-niche improvement replaces, anything else is
     discarded. Returns one of "appended", "replaced", "discarded".
     """
-    if not a.elites:
-        a.elites.append(s.copy())
-        a.insertion_generation.append(gens)
-        a._max_insertion_generation = max(a._max_insertion_generation, gens)
+    if not len(a):
+        a.add(s, gens)
         return "appended"
     idx = a.nearest_index(s.x)
     try:
-        outcome = hill_valley_test(s, a.elites[idx], ARCHIVE_TEST_POINTS, e)
+        outcome = hill_valley_test(s, a.elite(idx), ARCHIVE_TEST_POINTS, e)
     except BudgetExhausted:
         return "discarded"
     if not outcome.same_niche:
-        a.elites.append(s.copy())
-        a.insertion_generation.append(gens)
-        a._max_insertion_generation = max(a._max_insertion_generation, gens)
+        a.add(s, gens)
         return "appended"
-    if s.f < a.elites[idx].f:
-        a.elites[idx] = s.copy()
-        a.insertion_generation[idx] = gens
-        a._max_insertion_generation = max(a._max_insertion_generation, gens)
+    if s.f < a.f[idx]:
+        a.replace(idx, s, gens)
         return "replaced"
     return "discarded"
 
 
 def postprocess_archive(a: ElitistArchive) -> list[Solution]:
     """Keep only elites within the fitness tolerance of the best one."""
-    if not a.elites:
+    if not len(a):
         return []
-    b = a.best_fitness
-    return [s.copy() for s in a.elites if s.f <= b + POSTPROCESS_TOLERANCE]
+    keep = np.flatnonzero(a.f <= a.best_fitness + POSTPROCESS_TOLERANCE)
+    return [Solution(a.x[i].copy(), float(a.f[i])) for i in keep]
 
 
 @dataclass
@@ -145,9 +156,9 @@ def _precheck_skip(cluster_best: Solution, archive: ElitistArchive,
     the cluster's best; otherwise the archived entry stems from a search
     that was cut short and the niche deserves another search.
     """
-    if not archive.elites:
+    if not len(archive):
         return False
-    elite = archive.elites[archive.nearest_index(cluster_best.x)]
+    elite = archive.elite(archive.nearest_index(cluster_best.x))
     if elite.f > cluster_best.f:
         return False
     outcome = hill_valley_test(cluster_best, elite, ARCHIVE_TEST_POINTS, e)
@@ -164,25 +175,24 @@ def run_hillvallea(spec: ProblemSpec, seed: int) -> RunReport:
 
     try:
         while True:
+            size = initial_population_size(spec.dimension, round_index)
             try:
-                pop = uniform_init(
-                    e, initial_population_size(spec.dimension, round_index), rng)
+                pop = uniform_init(e, size, rng)
             except BudgetExhausted as exc:
                 # A degenerate budget still yields a report from the
                 # partial sample.
-                if exc.partial and not archive.elites:
-                    best = min(exc.partial, key=lambda s: s.f)
-                    archive_insert(archive, best, 0, e)
+                if len(exc.partial[1]) and not len(archive):
+                    archive_insert(archive, best_of(*exc.partial), 0, e)
                 raise
             clusters = cluster_population(pop, e)
-            clusters.sort(key=lambda c: c.best_solution.f)
+            clusters.sort(key=lambda c: c.f.min())
             # Initial Gaussian spread never below half the expected
             # sample spacing, so tiny clusters still search their valley.
-            min_spread = 0.5 * (spec.upper - spec.lower) * len(pop) ** (-1.0 / spec.dimension)
+            min_spread = 0.5 * (spec.upper - spec.lower) * size ** (-1.0 / spec.dimension)
             for cluster in clusters:
                 if _precheck_skip(cluster.best_solution, archive, e):
                     continue
-                pop_size = max(len(cluster.members), min_pop)
+                pop_size = max(len(cluster), min_pop)
                 best, reason, gens = run_core_search(
                     cluster, pop_size, archive, e, rng, archive.gen_cap,
                     min_spread=min_spread)

@@ -3,6 +3,12 @@
 All internal logic minimizes. Benchmark problems that are published as
 maximization tasks are negated once at this boundary; scoring undoes the
 negation before comparing against declared optima.
+
+A population is one pair ``(x, f)``: an (n, d) matrix whose rows are the
+solutions and the (n,) vector of their internal fitness. The evaluator,
+clustering, core search and archive all pass populations in this form;
+``Solution`` holds a single point (a test endpoint, a search's best, an
+elite, a reported optimum).
 """
 
 from __future__ import annotations
@@ -16,14 +22,15 @@ import numpy as np
 class BudgetExhausted(Exception):
     """Raised when an evaluation would exceed the budget.
 
-    Recoverable: callers finalize and report. ``partial`` carries any
-    solutions evaluated before the budget ran out (batched calls).
+    Recoverable: callers finalize and report. ``partial`` is the
+    ``(x, f)`` pair of the rows a batched call evaluated before the budget
+    ran out (possibly none), or None when no batch was under way.
     """
 
     def __init__(self, message: str = "evaluation budget exhausted",
-                 partial: list["Solution"] | None = None):
+                 partial: tuple[np.ndarray, np.ndarray] | None = None):
         super().__init__(message)
-        self.partial: list[Solution] = partial if partial is not None else []
+        self.partial = partial
 
 
 class DimensionMismatch(ValueError):
@@ -62,7 +69,21 @@ class ProblemSpec:
         object.__setattr__(self, "upper", np.asarray(self.upper, dtype=float))
         object.__setattr__(self, "known_optima",
                            np.asarray(self.known_optima, dtype=float))
-        if not np.all(self.lower < self.upper):
+        d = self.dimension
+        if d < 1:
+            raise ValueError(f"problem {self.id}: dimension must be >= 1, got {d}")
+        if self.budget < 1:
+            raise ValueError(f"problem {self.id}: budget must be >= 1, got {self.budget}")
+        for name in ("lower", "upper"):
+            shape = getattr(self, name).shape
+            if shape != (d,):
+                raise ValueError(f"problem {self.id}: {name} has shape {shape}, "
+                                 f"expected ({d},)")
+        if self.known_optima.ndim != 2 or self.known_optima.shape[1] != d:
+            raise ValueError(f"problem {self.id}: known_optima has shape "
+                             f"{self.known_optima.shape}, expected (k, {d})")
+        if not (np.all(np.isfinite(self.lower)) and np.all(np.isfinite(self.upper))
+                and np.all(self.lower < self.upper)):
             raise ValueError(f"invalid bounds for problem {self.id}")
 
     @property
@@ -87,8 +108,11 @@ class Solution:
     x: np.ndarray
     f: float
 
-    def copy(self) -> "Solution":
-        return Solution(self.x.copy(), self.f)
+
+def best_of(x: np.ndarray, f: np.ndarray) -> Solution:
+    """The first fittest row of a non-empty population, as a copy."""
+    i = int(np.argmin(f))
+    return Solution(x[i].copy(), float(f[i]))
 
 
 @dataclass
@@ -107,15 +131,17 @@ class BudgetedEvaluator:
         if x.shape != (self.spec.dimension,):
             raise DimensionMismatch(
                 f"expected vector of length {self.spec.dimension}, got shape {x.shape}")
-        return self.evaluate_batch(x[None, :])[0]
+        xs, fs = self.evaluate_batch(x[None, :])
+        return Solution(xs[0], float(fs[0]))
 
-    def evaluate_batch(self, xs: np.ndarray) -> list[Solution]:
+    def evaluate_batch(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Evaluate the rows of ``xs``; one budget unit per row.
 
-        If the budget runs out mid-batch, the rows that still fit are
-        evaluated and attached to the raised ``BudgetExhausted``. Objective
-        output of a shape other than (rows,) raises ``ValueError``;
-        non-finite values become +inf.
+        Returns the population pair: a fresh copy of the rows and their
+        internal fitness. If the budget runs out mid-batch, the rows that
+        still fit are evaluated and their pair is attached to the raised
+        ``BudgetExhausted``. Objective output of a shape other than
+        (rows,) raises ``ValueError``; non-finite values become +inf.
         """
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.spec.dimension:
@@ -123,7 +149,7 @@ class BudgetedEvaluator:
                 f"expected (n, {self.spec.dimension}) array, got shape {xs.shape}")
         n = xs.shape[0]
         fit = min(n, self.remaining)
-        sols: list[Solution] = []
+        values = np.empty(0)
         if fit > 0:
             values = np.asarray(self.spec.objective(xs[:fit]), dtype=float)
             if values.shape != (fit,):
@@ -133,15 +159,14 @@ class BudgetedEvaluator:
             values = self.spec.to_internal(values)
             values = np.where(np.isfinite(values), values, np.inf)  # worst
             self.used += fit
-            # Each solution holds its own row of one fresh copy of the batch.
-            sols = [Solution(x, f) for x, f in zip(xs[:fit].copy(), values.tolist())]
+        pop = (xs[:fit].copy(), values)
         if fit < n:
-            raise BudgetExhausted(partial=sols)
-        return sols
+            raise BudgetExhausted(partial=pop)
+        return pop
 
 
 def uniform_init(e: BudgetedEvaluator, n: int,
-                 rng: np.random.Generator) -> list[Solution]:
+                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Sample and evaluate n solutions uniformly within the bounds."""
     if n < 1:
         raise ValueError("n must be >= 1")

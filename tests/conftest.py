@@ -1,7 +1,12 @@
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from hillvallea.problem import BudgetedEvaluator, ProblemSpec
+
+import reference_clustering
 
 
 def synthetic_spec(fn, lower, upper, optima, fopt=0.0, budget=1_000_000,
@@ -44,3 +49,28 @@ def sphere_eval(sphere_1d):
 @pytest.fixture
 def double_well_eval(double_well_1d):
     return BudgetedEvaluator(double_well_1d)
+
+
+@contextlib.contextmanager
+def fallback_spans():
+    """Record ``(used before, used after)`` of every fallback test (a
+    solution's second and later tests) the sequential reference clustering
+    runs. The batched clustering evaluates the same points in another
+    order, but a budget that ends inside one of these spans ends inside
+    the same fallback test there too, since near the end of the budget it
+    runs one solution at a time."""
+    spans = []
+    last = []
+    real = reference_clustering.hill_valley_test
+
+    def spy(a, b, n_test, e):
+        before = e.used
+        try:
+            return real(a, b, n_test, e)
+        finally:
+            if last and last[0] is a:
+                spans.append((before, e.used))
+            last[:] = [a]
+
+    with mock.patch.object(reference_clustering, "hill_valley_test", spy):
+        yield spans

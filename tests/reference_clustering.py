@@ -1,7 +1,9 @@
 """The sequential hill-valley clustering, kept as the reference that the
 batched ``hillvallea.hillvalley.cluster_population`` must match: same
 clusters, same member order, same evaluations. Every test point is
-evaluated on its own, and each test stops at its first violator.
+evaluated on its own, and each test stops at its first violator. It takes
+and returns the same types: a population pair ``(x, f)`` in, clusters of
+``(x, f)`` rows out.
 """
 
 import numpy as np
@@ -10,7 +12,7 @@ from scipy.spatial import cKDTree
 from hillvallea.hillvalley import (EXTRA_ATTEMPTS_PER_DIM, MAX_TEST_POINTS,
                                    Cluster, HillValleyOutcome,
                                    expected_edge_length)
-from hillvallea.problem import BudgetExhausted
+from hillvallea.problem import BudgetExhausted, Solution
 
 
 def hill_valley_test(a, b, n_test, e):
@@ -31,7 +33,13 @@ def test_point_count(a, b, edge_length):
     return min(MAX_TEST_POINTS, 1 + int(dist / edge_length))
 
 
+def _as_clusters(clusters):
+    return [Cluster(np.array([m.x for m in c]), np.array([m.f for m in c]))
+            for c in clusters]
+
+
 def cluster_population(pop, e):
+    pop = [Solution(x, float(f)) for x, f in zip(*pop)]
     spec = e.spec
     d = spec.dimension
     order = sorted(range(len(pop)), key=lambda i: (pop[i].f, i))
@@ -39,7 +47,7 @@ def cluster_population(pop, e):
     coords = np.array([s.x for s in ranked]) / (spec.upper - spec.lower)
     edge = expected_edge_length(spec, len(pop))
 
-    clusters = [Cluster([ranked[0]])]
+    clusters = [[ranked[0]]]
     cluster_of = [0]
     max_attempts = 1 + d * EXTRA_ATTEMPTS_PER_DIM
     n = len(ranked)
@@ -77,14 +85,14 @@ def cluster_population(pop, e):
                     x, ranked[j], test_point_count(x, ranked[j], edge), e)
                 pending.extend(outcome.accepted_tests)
                 if outcome.same_niche:
-                    clusters[cid].members.append(x)
-                    clusters[cid].members.extend(pending)
+                    clusters[cid].append(x)
+                    clusters[cid].extend(pending)
                     cluster_of.append(cid)
                     placed = True
                     break
         except BudgetExhausted:
-            return clusters
+            return _as_clusters(clusters)
         if not placed:
-            clusters.append(Cluster([x] + pending))
+            clusters.append([x] + pending)
             cluster_of.append(len(clusters) - 1)
-    return clusters
+    return _as_clusters(clusters)

@@ -101,7 +101,7 @@ class TestCriterion3ClusteringOracle:
             e = BudgetedEvaluator(spec)
             xs = np.concatenate([
                 rng.uniform(i / k, (i + 1) / k, 64) for i in range(k)])
-            pop = [e.evaluate(np.array([x])) for x in xs]
+            pop = e.evaluate_batch(xs[:, None])
             if len(cluster_population(pop, e)) == k:
                 hits += 1
         assert hits >= 95, f"{k} wells recovered in only {hits}/100 trials"
@@ -177,11 +177,10 @@ class TestCriterion8TerminationBehavior:
         for trial in range(100):
             rng = np.random.default_rng(1000 + trial)
             e = self._double_well_eval()
-            archive = ElitistArchive(
-                elites=[e.evaluate(np.array([1.0]))],
-                insertion_generation=[20])
+            elite = e.evaluate(np.array([1.0]))
+            archive = ElitistArchive(x=elite.x[None, :], f=np.array([elite.f]))
             xs = rng.uniform(0.3, 1.7, 12)
-            cluster = Cluster(members=[e.evaluate(np.array([x])) for x in xs])
+            cluster = Cluster(*e.evaluate_batch(xs[:, None]))
             _, reason, gens = run_core_search(
                 cluster, 20, archive, e, rng, gen_cap=archive.gen_cap)
             if reason is TerminationReason.REEXPLORED_NICHE and gens <= 10:
@@ -203,10 +202,10 @@ class TestCriterion8TerminationBehavior:
             rng = np.random.default_rng(2000 + trial)
             e = BudgetedEvaluator(spec)
             global_elite = e.evaluate(np.array([-1.0124699]))
-            archive = ElitistArchive(elites=[global_elite],
-                                     insertion_generation=[1])
+            archive = ElitistArchive(x=global_elite.x[None, :],
+                                     f=np.array([global_elite.f]))
             xs = rng.uniform(0.5, 1.5, 12)
-            cluster = Cluster(members=[e.evaluate(np.array([x])) for x in xs])
+            cluster = Cluster(*e.evaluate_batch(xs[:, None]))
             _, reason, gens = run_core_search(
                 cluster, 20, archive, e, rng, gen_cap=archive.gen_cap)
             if (reason is TerminationReason.LOCAL_MINIMUM_PREDICTED

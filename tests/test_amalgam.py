@@ -24,7 +24,11 @@ def _sol(e, x):
 
 
 def _cluster(e, xs):
-    return Cluster(members=[_sol(e, x) for x in xs])
+    return Cluster(*e.evaluate_batch(np.asarray(xs, float)[:, None]))
+
+
+def _archive(elite):
+    return ElitistArchive(x=elite.x[None, :], f=np.array([elite.f]))
 
 
 class TestRateEstimator:
@@ -158,7 +162,7 @@ class TestInitFromCluster:
         used = sphere_eval.used
         s = init_from_cluster(c, 10, sphere_eval, np.random.default_rng(0))
         assert sphere_eval.used == used + 8
-        assert len(s.population) == 10
+        assert s.population[0].shape == (10, 1) and len(s.population[1]) == 10
 
     def test_min_spread_widens_degenerate_fit(self, sphere_eval):
         c = _cluster(sphere_eval, [1.0])
@@ -173,8 +177,8 @@ class TestInitFromCluster:
 
     def test_empty_cluster_rejected(self, sphere_eval):
         with pytest.raises(ValueError):
-            init_from_cluster(Cluster(members=[]), 4, sphere_eval,
-                              np.random.default_rng(0))
+            init_from_cluster(Cluster(np.empty((0, 1)), np.empty(0)), 4,
+                              sphere_eval, np.random.default_rng(0))
 
 
 class TestGenerationStep:
@@ -186,7 +190,7 @@ class TestGenerationStep:
         rng = np.random.default_rng(1)
         s = self._state(sphere_eval, [1.0, 1.3, 1.6], 20, seed=1)
         generation_step(s, sphere_eval, rng)
-        assert len(s.population) == 20
+        assert s.population[0].shape == (20, 1) and len(s.population[1]) == 20
         assert s.generation == 1
 
     def test_elitism_best_never_degrades(self, sphere_eval):
@@ -197,7 +201,7 @@ class TestGenerationStep:
             generation_step(s, sphere_eval, rng)
             assert s.best.f <= prev
             prev = s.best.f
-        assert any(sol.f == s.best.f for sol in s.population)
+        assert np.any(s.population[1] == s.best.f)
 
     def test_descends_sphere_to_high_precision(self, sphere_eval):
         rng = np.random.default_rng(3)
@@ -210,7 +214,7 @@ class TestGenerationStep:
         rng = np.random.default_rng(4)
         s = self._state(sphere_eval, [1.0, 1.3, 1.6], 20, seed=4)
         n_sel = math.ceil(0.35 * 20)
-        expected = float(np.mean(sorted(sol.f for sol in s.population)[:n_sel]))
+        expected = float(np.mean(sorted(s.population[1])[:n_sel]))
         a_g = generation_step(s, sphere_eval, rng)
         assert a_g == pytest.approx(expected)
 
@@ -219,7 +223,8 @@ class TestGenerationStep:
         e = BudgetedEvaluator(spec)
         s = self._state(e, [3.0, 4.0, 5.0], 3)  # cluster members use 3 evals
         # 5 evals remain; a 20-strong population is unobtainable
-        s.population = s.population * 7  # pretend pop_size 21 without evals
+        x, f = s.population  # pretend pop_size 21 without evals
+        s.population = (np.tile(x, (7, 1)), np.tile(f, 7))
         with pytest.raises(BudgetExhausted):
             generation_step(s, e, np.random.default_rng(0))
         assert e.used == spec.budget
@@ -237,15 +242,13 @@ class TestReexplorationCheck:
     def test_same_well_detected(self, double_well_eval):
         s = init_from_cluster(_cluster(double_well_eval, [0.9]), 1,
                               double_well_eval, np.random.default_rng(0))
-        archive = ElitistArchive(elites=[_sol(double_well_eval, 1.0)],
-                                 insertion_generation=[3])
+        archive = _archive(_sol(double_well_eval, 1.0))
         assert check_reexploration(s, archive, double_well_eval)
 
     def test_opposite_well_is_distinct(self, double_well_eval):
         s = init_from_cluster(_cluster(double_well_eval, [-0.9]), 1,
                               double_well_eval, np.random.default_rng(0))
-        archive = ElitistArchive(elites=[_sol(double_well_eval, 1.0)],
-                                 insertion_generation=[3])
+        archive = _archive(_sol(double_well_eval, 1.0))
         assert not check_reexploration(s, archive, double_well_eval)
 
 
@@ -260,8 +263,7 @@ class TestRunCoreSearch:
         assert gens >= 1
 
     def test_preseeded_niche_triggers_reexploration_stop(self, double_well_eval):
-        archive = ElitistArchive(elites=[_sol(double_well_eval, 1.0)],
-                                 insertion_generation=[50])
+        archive = _archive(_sol(double_well_eval, 1.0))
         c = _cluster(double_well_eval, [0.7, 0.8, 1.3])
         best, reason, gens = run_core_search(
             c, 30, archive, double_well_eval,

@@ -24,8 +24,21 @@ class TestParseProblemIds:
         with pytest.raises(ValueError):
             parse_problem_ids("two")
 
+    def test_reversed_range_rejected(self):
+        with pytest.raises(ValueError, match="reversed"):
+            parse_problem_ids("5-1")
+
+    @pytest.mark.parametrize("text", ["", " , ,"])
+    def test_empty_selection_rejected(self, text):
+        with pytest.raises(ValueError, match="no problems"):
+            parse_problem_ids(text)
+
 
 class TestCampaignConfig:
+    def test_rejects_empty_selection(self):
+        with pytest.raises(ValueError, match="no problems"):
+            CampaignConfig(problem_ids=[])
+
     def test_rejects_zero_runs(self):
         with pytest.raises(ValueError):
             CampaignConfig(problem_ids=[1], runs=0)
@@ -115,6 +128,17 @@ class TestRunCommand:
                    "--out", str(tmp_path / "r.csv")])
         assert rc == 1
         assert "epsilon" in capfd.readouterr().err
+
+    @pytest.mark.parametrize("problems, message", [("5-1", "reversed"),
+                                                   (",", "no problems")])
+    def test_bad_selection_fails_without_csv(self, tmp_path, capfd,
+                                             problems, message):
+        # used to write a header-only CSV and exit 0
+        with pytest.raises(SystemExit) as exc_info:
+            main(["run", "--problems", problems, "--out", str(tmp_path / "r.csv")])
+        assert exc_info.value.code == 2
+        assert message in capfd.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
 
     def test_zero_jobs_fails_cleanly(self, tmp_path, capfd):
         rc = main(["run", "--problems", "2", "--jobs", "0",

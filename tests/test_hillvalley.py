@@ -1,22 +1,29 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hillvallea import hillvalley
 from hillvallea.hillvalley import (MAX_TEST_POINTS, cluster_population,
                                    expected_edge_length)
 from hillvallea.hillvalley import hill_valley_test
 from hillvallea.hillvalley import test_point_count as point_count
-from hillvallea.problem import BudgetedEvaluator, Solution
+from hillvallea.problem import BudgetedEvaluator, BudgetExhausted, Solution
 
 import reference_clustering as ref
-from conftest import double_well, sphere, synthetic_spec
+from conftest import double_well, fallback_spans, sphere, synthetic_spec
 
 
 def _sol(e, x):
     return e.evaluate(np.atleast_1d(np.asarray(x, float)))
+
+
+def _pop(e, xs):
+    xs = np.asarray(xs, float)
+    return e.evaluate_batch(xs.reshape(len(xs), -1))
 
 
 class TestHillValleyTest:
@@ -25,7 +32,8 @@ class TestHillValleyTest:
         used = sphere_eval.used
         out = hill_valley_test(a, Solution(a.x.copy(), a.f), 3, sphere_eval)
         assert out.same_niche
-        assert out.accepted_tests == []
+        assert out.accepted_tests[0].shape == (0, 1)
+        assert len(out.accepted_tests[1]) == 0
         assert sphere_eval.used == used
 
     def test_convex_segment_same_niche(self, sphere_eval):
@@ -33,16 +41,17 @@ class TestHillValleyTest:
         a, b = _sol(sphere_eval, -1.0), _sol(sphere_eval, 1.0)
         out = hill_valley_test(a, b, 3, sphere_eval)
         assert out.same_niche
-        assert len(out.accepted_tests) == 3
+        tx, tf = out.accepted_tests
+        assert tx.shape == (3, 1) and len(tf) == 3
         assert out.violator is None
-        xs = sorted(t.x[0] for t in out.accepted_tests)
-        assert xs == pytest.approx([-0.5, 0.0, 0.5])
+        assert sorted(tx[:, 0]) == pytest.approx([-0.5, 0.0, 0.5])
+        assert list(tf) == pytest.approx(list(tx[:, 0] ** 2))
 
     def test_double_well_midpoint_violates(self, double_well_eval):
         a, b = _sol(double_well_eval, -1.0), _sol(double_well_eval, 1.0)
         out = hill_valley_test(a, b, 1, double_well_eval)
         assert not out.same_niche
-        assert out.accepted_tests == []
+        assert len(out.accepted_tests[1]) == 0
         assert out.violator.x[0] == pytest.approx(0.0)
         assert out.violator.f == pytest.approx(1.0)
 
@@ -52,7 +61,7 @@ class TestHillValleyTest:
         a, b = _sol(double_well_eval, -1.3), _sol(double_well_eval, 1.3)
         out = hill_valley_test(a, b, 3, double_well_eval)
         assert not out.same_niche
-        assert [t.x[0] for t in out.accepted_tests] == pytest.approx([-0.65])
+        assert list(out.accepted_tests[0][:, 0]) == pytest.approx([-0.65])
         assert out.violator.x[0] == pytest.approx(0.0)
 
     def test_rejects_n_test_zero_for_distinct_points(self, sphere_eval):
@@ -72,55 +81,57 @@ class TestHillValleyTest:
 
 class TestClusterPopulation:
     def test_single_solution(self, sphere_eval):
-        pop = [_sol(sphere_eval, 0.3)]
+        pop = _pop(sphere_eval, [0.3])
         used = sphere_eval.used
         clusters = cluster_population(pop, sphere_eval)
         assert len(clusters) == 1
-        assert len(clusters[0].members) == 1
+        assert len(clusters[0]) == 1
         assert sphere_eval.used == used
 
     def test_double_well_two_clusters(self, double_well_eval):
-        pop = [_sol(double_well_eval, x) for x in (-1.1, -0.9, 0.9, 1.1)]
+        pop = _pop(double_well_eval, [-1.1, -0.9, 0.9, 1.1])
         clusters = cluster_population(pop, double_well_eval)
         assert len(clusters) == 2
         for c in clusters:
-            signs = {np.sign(m.x[0]) for m in c.members}
+            signs = set(np.sign(c.x[:, 0]))
             assert len(signs) == 1, "cluster straddles the ridge"
 
     def test_convex_single_cluster(self, sphere_eval):
         xs = np.linspace(-2.0, 2.0, 8)
-        pop = [_sol(sphere_eval, x) for x in xs]
+        pop = _pop(sphere_eval, xs)
         clusters = cluster_population(pop, sphere_eval)
         assert len(clusters) == 1
 
     def test_partition_and_accounting(self, double_well_eval):
         rng = np.random.default_rng(5)
-        pop = [_sol(double_well_eval, x) for x in rng.uniform(-2, 2, 40)]
+        pop = _pop(double_well_eval, rng.uniform(-2, 2, 40))
         used_before = double_well_eval.used
         clusters = cluster_population(pop, double_well_eval)
         test_evals = double_well_eval.used - used_before
-        total_members = sum(len(c.members) for c in clusters)
-        # every input appears exactly once; extra members are the accepted
-        # test solutions, which never exceed the evaluations spent
-        ids = [id(m) for c in clusters for m in c.members]
-        assert len(ids) == len(set(ids))
-        for s in pop:
-            assert any(m is s for c in clusters for m in c.members)
-        assert total_members - len(pop) <= test_evals
+        members_x = np.concatenate([c.x for c in clusters])
+        members_f = np.concatenate([c.f for c in clusters])
+        # every input row appears exactly once, with its fitness; extra
+        # members are the accepted test solutions, which never exceed the
+        # evaluations spent
+        for x, f in zip(*pop):
+            hits = np.flatnonzero((members_x == x).all(axis=1))
+            assert len(hits) == 1 and members_f[hits[0]] == f
+        assert len(members_f) - len(pop[1]) <= test_evals
 
     def test_best_index_tracks_minimum(self, double_well_eval):
-        pop = [_sol(double_well_eval, x) for x in (-1.3, -1.0, 1.2)]
+        pop = _pop(double_well_eval, [-1.3, -1.0, 1.2])
         clusters = cluster_population(pop, double_well_eval)
         for c in clusters:
-            fs = [m.f for m in c.members]
-            assert c.members[c.best].f == min(fs)
+            assert c.f[c.best] == c.f.min()
+            assert c.best_solution.f == c.f.min()
+            assert np.array_equal(c.best_solution.x, c.x[c.best])
 
     def test_budget_exhaustion_returns_partial(self, double_well_1d):
         from dataclasses import replace
         spec = replace(double_well_1d, budget=44)
         e = BudgetedEvaluator(spec)
         rng = np.random.default_rng(2)
-        pop = [_sol(e, x) for x in rng.uniform(-2, 2, 40)]
+        pop = _pop(e, rng.uniform(-2, 2, 40))
         clusters = cluster_population(pop, e)  # only 4 test evals left
         assert e.used <= spec.budget
         assert len(clusters) >= 1
@@ -141,29 +152,34 @@ def _wells(X):
     return np.cos(5.0 * X).sum(axis=1)
 
 
-def _assert_same_clusters(got, want, pop):
-    pop_ids = {id(s) for s in pop}
+def _many_wells(X):
+    # about ten valleys per axis: fallback tests are common, and a
+    # solution's shortlist of neighbors often runs out
+    return np.cos(16.0 * X).sum(axis=1) + 0.1 * (X ** 2).sum(axis=1)
+
+
+def _assert_same_clusters(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
-        assert len(g.members) == len(w.members)
-        for a, b in zip(g.members, w.members):
-            if id(b) in pop_ids:
-                assert a is b
-            else:
-                assert id(a) not in pop_ids
-                assert a.x.tobytes() == b.x.tobytes() and a.f == b.f
+        assert g.x.shape == w.x.shape
+        assert g.x.tobytes() == w.x.tobytes()
+        assert g.f.tobytes() == w.f.tobytes()
+
+
+def _spec(fn, d, budget=1_000_000):
+    return synthetic_spec(fn, [-2.0] * d, [2.0] * d, [[0.0] * d], budget=budget)
 
 
 class TestBatchedClusteringEquivalence:
     """The batched clustering against the sequential reference."""
 
     @settings(max_examples=150, deadline=None)
-    @given(d=st.integers(1, 2), n=st.integers(1, 70),
-           fn=st.sampled_from([_wells, double_well, sphere]),
+    @given(d=st.integers(1, 3), n=st.integers(1, 90),
+           fn=st.sampled_from([_wells, _many_wells, double_well, sphere]),
            grid=st.booleans(), extra=st.integers(0, 400),
            seed=st.integers(0, 2 ** 16))
     def test_same_clusters_and_evaluations(self, d, n, fn, grid, extra, seed):
-        spec = synthetic_spec(fn, [-2.0] * d, [2.0] * d, [[0.0] * d])
+        spec = _spec(fn, d)
         rng = np.random.default_rng(seed)
         # a coarse grid repeats points, so identical endpoints occur
         xs = (rng.integers(-4, 5, (n, d)) / 2.0 if grid
@@ -174,8 +190,42 @@ class TestBatchedClusteringEquivalence:
         e_new, e_ref = BudgetedEvaluator(spec, used=n), BudgetedEvaluator(spec, used=n)
         got = cluster_population(pop, e_new)
         want = ref.cluster_population(pop, e_ref)
-        _assert_same_clusters(got, want, pop)
+        _assert_same_clusters(got, want)
         assert e_new.used == e_ref.used <= spec.budget
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_budget_ending_inside_a_fallback_test(self, d):
+        # On a full budget, record where the reference's fallback tests
+        # start; then rerun with budgets that end after the first point of
+        # such a test, and check that the batched clustering runs out
+        # inside that same test.
+        n = 60 * d
+        spec = _spec(_many_wells, d)
+        pop = BudgetedEvaluator(spec).evaluate_batch(
+            np.random.default_rng(d).uniform(-2.0, 2.0, (n, d)))
+        with fallback_spans() as spans:
+            ref.cluster_population(pop, BudgetedEvaluator(spec, used=n))
+        cuts = [before + 1 for before, after in spans if after - before >= 2]
+        assert len(cuts) >= 3
+        for budget in (cuts[0], cuts[len(cuts) // 2], cuts[-1]):
+            short = replace(spec, budget=budget)
+            e_new = BudgetedEvaluator(short, used=n)
+            e_ref = BudgetedEvaluator(short, used=n)
+            ran_out_in = []
+            real = hillvalley.hill_valley_test
+
+            def spy(a, b, n_test, e):
+                try:
+                    return real(a, b, n_test, e)
+                except BudgetExhausted:
+                    ran_out_in.append(e.used)
+                    raise
+
+            with mock.patch.object(hillvalley, "hill_valley_test", spy):
+                got = cluster_population(pop, e_new)
+            assert ran_out_in == [budget]
+            _assert_same_clusters(got, ref.cluster_population(pop, e_ref))
+            assert e_new.used == e_ref.used == budget
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_unimodal_population_takes_few_objective_calls(self, d):

@@ -1,8 +1,12 @@
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hillvallea import orchestrator
 from hillvallea.hillvalley import hill_valley_test
 from hillvallea.orchestrator import (ElitistArchive, RunReport,
                                      archive_insert, initial_population_size,
@@ -10,7 +14,8 @@ from hillvallea.orchestrator import (ElitistArchive, RunReport,
                                      run_hillvallea)
 from hillvallea.problem import BudgetedEvaluator, Solution
 
-from conftest import double_well, sphere, synthetic_spec
+import reference_clustering as ref
+from conftest import double_well, fallback_spans, sphere, synthetic_spec
 
 
 def _sol(e, x):
@@ -55,7 +60,7 @@ class TestArchiveInsert:
         assert archive_insert(a, _sol(double_well_eval, 1.0), 9,
                               double_well_eval) == "replaced"
         assert len(a) == 1
-        assert a.elites[0].x[0] == pytest.approx(1.0)
+        assert a.x[0, 0] == pytest.approx(1.0)
         assert a.gen_cap == 9
 
     def test_same_niche_worse_discarded(self, double_well_eval):
@@ -72,7 +77,8 @@ class TestArchiveInsert:
         a = ElitistArchive()
         archive_insert(a, _sol(double_well_eval, 1.0), 1, double_well_eval)
         archive_insert(a, _sol(double_well_eval, -1.0), 1, double_well_eval)
-        assert a.elites[a.nearest_index(np.array([0.8]))].x[0] == pytest.approx(1.0)
+        assert a.x.shape == (2, 1)
+        assert a.elite(a.nearest_index(np.array([0.8]))).x[0] == pytest.approx(1.0)
         assert a.nearest_index(np.array([-0.4])) == 1
 
 
@@ -80,8 +86,7 @@ class TestPostprocess:
     def _archive(self, fitnesses):
         a = ElitistArchive()
         for i, f in enumerate(fitnesses):
-            a.elites.append(Solution(np.array([float(i)]), f))
-            a.insertion_generation.append(1)
+            a.add(Solution(np.array([float(i)]), f), 1)
         return a
 
     def test_filters_local_optima(self):
@@ -206,3 +211,68 @@ class TestFullRun:
         report = run_hillvallea(spec, seed=5)
         for s in report.solutions:
             assert s.f == pytest.approx(0.0, abs=1e-6)
+
+
+def _wells(X):
+    return np.cos(5.0 * X).sum(axis=1)
+
+
+def _phase_spans(spec, seed):
+    """Evaluation spans ``(used before, used after)`` of each phase of a run.
+
+    Clustering runs as the sequential reference, which evaluates the same
+    points; see ``conftest.fallback_spans`` for why its fallback spans
+    also locate the batched clustering's fallback tests.
+    """
+    spans = {"clustering": [], "archive": []}
+
+    def spy(fn, phase):
+        def wrapper(*args):
+            e = args[-1]
+            before = e.used
+            try:
+                return fn(*args)
+            finally:
+                spans[phase].append((before, e.used))
+        return wrapper
+
+    with mock.patch.object(orchestrator, "cluster_population",
+                           spy(ref.cluster_population, "clustering")), \
+            mock.patch.object(orchestrator, "hill_valley_test",
+                              spy(orchestrator.hill_valley_test, "archive")), \
+            fallback_spans() as fallback:
+        run_hillvallea(spec, seed)
+    return dict(spans, fallback=fallback)
+
+
+class TestRunInvariants:
+    """Whole runs on random budgets: the budget is never exceeded, every
+    evaluation is counted, and a seed fixes the report to the byte."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 2), fn=st.sampled_from([double_well, sphere, _wells]),
+           seed=st.integers(0, 2 ** 16),
+           phase=st.sampled_from([None, "clustering", "fallback", "archive"]),
+           budget=st.integers(1, 4000), pick=st.integers(0, 10 ** 6))
+    def test_budget_count_and_determinism(self, d, fn, seed, phase, budget, pick):
+        spec = synthetic_spec(fn, [-2.0] * d, [2.0] * d, [[0.0] * d],
+                              budget=budget, radius=0.2)
+        if phase is not None:
+            # end the budget after the first evaluation of a phase that
+            # evaluates at least two points, so it runs out inside it
+            spans = [(a, b) for a, b in _phase_spans(replace(spec, budget=4000),
+                                                     seed)[phase] if b - a >= 2]
+            if spans:
+                start, _ = spans[pick % len(spans)]
+                spec = replace(spec, budget=start + 1)
+        rows = []
+
+        def counted(X):
+            rows.append(len(X))
+            return fn(X)
+
+        report = run_hillvallea(replace(spec, objective=counted), seed)
+        assert report.evaluations <= spec.budget
+        assert report.evaluations == sum(rows)
+        again = run_hillvallea(spec, seed)
+        assert again.serialize() == report.serialize()

@@ -47,32 +47,32 @@ def test_batch_partial_on_exhaustion():
     e = BudgetedEvaluator(spec)
     with pytest.raises(BudgetExhausted) as exc_info:
         e.evaluate_batch(np.zeros((5, 1)))
-    assert len(exc_info.value.partial) == 3
+    x, f = exc_info.value.partial
+    assert x.shape == (3, 1) and len(f) == 3
     assert e.used == 3
 
 
 def test_uniform_init_counts_and_bounds():
     spec = get_problem(4)
     e = BudgetedEvaluator(spec)
-    sols = uniform_init(e, 128, np.random.default_rng(3))
-    assert len(sols) == 128
+    x, f = uniform_init(e, 128, np.random.default_rng(3))
+    assert x.shape == (128, spec.dimension) and f.shape == (128,)
     assert e.used == 128
-    for s in sols:
-        assert np.all(s.x >= spec.lower) and np.all(s.x <= spec.upper)
+    assert np.all(x >= spec.lower) and np.all(x <= spec.upper)
 
 
 def test_uniform_init_deterministic():
     spec = get_problem(4)
     a = uniform_init(BudgetedEvaluator(spec), 16, np.random.default_rng(7))
     b = uniform_init(BudgetedEvaluator(spec), 16, np.random.default_rng(7))
-    assert all(np.array_equal(x.x, y.x) and x.f == y.f for x, y in zip(a, b))
+    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
 def test_single_sample_in_bounds():
     spec = synthetic_spec(sphere, [-1.0], [1.0], [[0.0]], budget=10)
-    sols = uniform_init(BudgetedEvaluator(spec), 1, np.random.default_rng(0))
-    assert len(sols) == 1
-    assert -1.0 <= sols[0].x[0] <= 1.0
+    x, f = uniform_init(BudgetedEvaluator(spec), 1, np.random.default_rng(0))
+    assert x.shape == (1, 1) and len(f) == 1
+    assert -1.0 <= x[0, 0] <= 1.0
 
 
 def test_reevaluation_is_bitwise_identical():
@@ -113,5 +113,38 @@ def test_non_finite_values_count_as_worst(maximize):
         return np.array([np.nan, np.inf, -np.inf, 2.0])[:len(X)]
 
     spec = replace(synthetic_spec(holes, [-1.0], [1.0], [[0.0]]), maximize=maximize)
-    sols = BudgetedEvaluator(spec).evaluate_batch(np.zeros((4, 1)))
-    assert [s.f for s in sols] == [np.inf, np.inf, np.inf, spec.to_internal(2.0)]
+    _, f = BudgetedEvaluator(spec).evaluate_batch(np.zeros((4, 1)))
+    assert list(f) == [np.inf, np.inf, np.inf, spec.to_internal(2.0)]
+
+
+class TestProblemSpecValidation:
+    def _spec(self, **changes):
+        return replace(synthetic_spec(sphere, [-1.0], [1.0], [[0.0]]), **changes)
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_below_one_rejected(self, budget):
+        # used to be accepted and to give an empty report
+        with pytest.raises(ValueError, match="budget must be >= 1"):
+            self._spec(budget=budget)
+
+    @pytest.mark.parametrize("name", ["lower", "upper"])
+    def test_bound_length_must_match_dimension(self, name):
+        # used to fail deep inside numpy broadcasting
+        with pytest.raises(ValueError, match=f"{name} has shape \\(2,\\)"):
+            self._spec(**{name: np.array([-1.0, 1.0]) if name == "lower"
+                          else np.array([1.0, 2.0])})
+
+    def test_known_optima_width_must_match_dimension(self):
+        with pytest.raises(ValueError, match="known_optima has shape \\(1, 2\\)"):
+            self._spec(known_optima=np.array([[0.0, 0.0]]))
+
+    def test_zero_dimension_rejected(self):
+        with pytest.raises(ValueError, match="dimension must be >= 1"):
+            self._spec(dimension=0, lower=np.empty(0), upper=np.empty(0),
+                       known_optima=np.empty((1, 0)))
+
+    @pytest.mark.parametrize("lower, upper", [([1.0], [1.0]), ([2.0], [1.0]),
+                                              ([-np.inf], [1.0])])
+    def test_empty_or_infinite_box_rejected(self, lower, upper):
+        with pytest.raises(ValueError, match="invalid bounds"):
+            self._spec(lower=np.array(lower), upper=np.array(upper))
