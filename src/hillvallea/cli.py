@@ -166,6 +166,15 @@ def cmd_score(report_path: str, problem_id: int,
               f"not {problem_id}", file=sys.stderr)
         return 1
     spec = get_problem(problem_id)
+    if report.evaluations < 0:
+        print(f"error: report has a negative evaluation count "
+              f"({report.evaluations})", file=sys.stderr)
+        return 1
+    if report.solutions and len(report.solutions[0].x) != spec.dimension:
+        print(f"error: report solutions have {len(report.solutions[0].x)} "
+              f"coordinates; problem {problem_id} has dimension "
+              f"{spec.dimension}", file=sys.stderr)
+        return 1
     sc = score(report.solutions, spec, epsilon, report.evaluations)
     print(f"peak_ratio = {sc.peak_ratio}", file=out)
     print(f"static_f1 = {sc.static_f1}", file=out)

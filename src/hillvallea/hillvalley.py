@@ -28,21 +28,43 @@ the cluster of its nearest better neighbor, which is ranked before it.
 So it points at that neighbor, a solution whose first test failed points
 at itself, and ``root = root[root]`` repeated until stable leaves every
 solution pointing at the first self-pointing solution down its chain,
-whose cluster it shares. Only those roots run the fallback tests against
-further neighbors, one at a time in rank order; the cluster of any
-neighbor is that of its root, which is ranked before the solution under
-test and so is already decided. A root that no test accepts founds the
-next cluster, so clusters are numbered in the rank order of their
-founders, as in the sequential algorithm. There a solution is appended
-to its cluster followed by its accepted test points, solutions in rank
-order; one stable sort of all members by (cluster, rank), with the
-solutions ahead of the test points and the test points in evaluation
-order, gives the same member order.
+whose cluster it shares. Only those roots run fallback tests against
+further neighbors; the cluster of any neighbor is that of its root.
+
+Fallback tests in rounds. The roots of a block are labelled together.
+Each round, every undecided root walks its neighbor list in rank order
+up to its next test, skipping neighbors in clusters it has tried; it
+waits while the root of its next neighbor is itself undecided. All tests
+scheduled in a round then run in one ``hill_valley_tests`` call, each
+pair with its own early stop. A root depends only on roots ranked before
+it, so the lowest undecided root never waits and every round makes
+progress. A block of two or more solutions cannot run out of budget (see
+above), and a block of one runs its tests one after the other, which is
+the sequential algorithm. A root that no test accepts founds a cluster
+under the temporary label ``n + rank``; at the end of the block the
+founders are renumbered in rank order, so clusters are numbered in the
+rank order of their founders, as in the sequential algorithm.
+
+Member order. The sequential algorithm appends a solution to its cluster
+followed by its accepted test points, solutions in rank order. Each root's tests
+run in later rounds than its earlier tests, so one stable sort of all
+members by (cluster, rank), with the solutions ahead of the test points
+and the test points in evaluation order, gives the same member order.
+
+Neighbor order. The neighbors of rank i are the solutions ranked before
+i in its KD-tree shortlist (its 8 * (1 + d) nearest), in shortlist order,
+then, if the walk gets past them, the other better solutions by distance.
+That order is ``argsort(kind="stable")`` of the distances, produced a
+chunk at a time by ``nearest_first``, so a walk that stops early costs
+O(i) instead of a full sort. A root's
+walk, with its distance array, is dropped as soon as the root is
+decided.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -147,8 +169,36 @@ def expected_edge_length(spec, pop_size: int) -> float:
     return (volume / pop_size) ** (1.0 / spec.dimension)
 
 
-def test_point_count(a: Solution, b: Solution, edge_length: float) -> int:
-    return int(_test_point_counts(a.x[None, :], b.x[None, :], edge_length)[0])
+def nearest_first(points: np.ndarray, x: np.ndarray, chunk: int) -> Iterator[int]:
+    """Yield the row indices of ``points`` from nearest to ``x`` outwards,
+    in ``argsort(kind="stable")`` order of the squared distances.
+
+    Works a chunk at a time, so a caller that stops early pays O(len)
+    rather than a full sort; each chunk is eight times the last, so a
+    caller that walks far needs few chunks. Between chunks only the
+    largest distance yielded so far is kept, and the next chunk computes
+    the distances again, so a paused caller holds O(chunk) memory rather
+    than O(len).
+    """
+    passed = -np.inf
+    while passed < np.inf:
+        order, passed = _next_chunk(points, x, passed, chunk)
+        yield from order
+        chunk *= 8
+
+
+def _next_chunk(points: np.ndarray, x: np.ndarray, passed: float,
+                chunk: int) -> tuple[list[int], float]:
+    """The rows whose squared distance to ``x`` exceeds ``passed``, up to
+    and including every tie of the ``chunk``-th smallest such distance, in
+    (distance, index) order; and that distance, or inf if no row is left."""
+    d = ((points - x) ** 2).sum(axis=1)
+    rest = np.flatnonzero(d > passed)
+    limit = np.inf
+    if rest.size > chunk:
+        limit = np.partition(d[rest], chunk - 1)[chunk - 1]
+        rest = rest[d[rest] <= limit]
+    return rest[np.lexsort((rest, d[rest]))].tolist(), limit
 
 
 def _test_point_counts(starts: np.ndarray, ends: np.ndarray,
@@ -187,8 +237,8 @@ def cluster_population(pop: tuple[np.ndarray, np.ndarray],
 
     # Only a handful of nearest better neighbors are ever inspected.
     # A KD-tree shortlist avoids the O(n^2 d) brute-force distance pass;
-    # the rare solution that exhausts its shortlist falls back to a full
-    # scan of its better predecessors.
+    # the rare solution that exhausts its shortlist goes on to the
+    # distances to all its better predecessors.
     shortlist_k = min(n, 8 * max_attempts)
     nn = cKDTree(coords).query(coords, k=shortlist_k)[1] if n > shortlist_k else None
 
@@ -201,10 +251,9 @@ def cluster_population(pop: tuple[np.ndarray, np.ndarray],
                     yield int(j)
             if len(seen) == i:
                 return
-        dists = ((coords[:i] - coords[i]) ** 2).sum(axis=1)
-        for j in np.argsort(dists, kind="stable"):
-            if int(j) not in seen:
-                yield int(j)
+        for j in nearest_first(coords[:i], coords[i], 2 * shortlist_k):
+            if j not in seen:
+                yield j
 
     # The first neighbor better_neighbors(i) yields, for every i >= 1.
     if nn is not None:
@@ -222,24 +271,67 @@ def cluster_population(pop: tuple[np.ndarray, np.ndarray],
     n_clusters = 1
     tests = []  # (rank, x, f) of accepted test points, in evaluation order
 
-    def fallback(i: int, block_tests: list) -> int:
-        """Test root ``i`` against further neighbors; return its cluster."""
-        a = Solution(xs[i], float(fs[i]))
-        tried = {label[root[nearest[i]]]}
+    def run_tests(a: np.ndarray, b: np.ndarray, block_tests: list) -> np.ndarray:
+        """Test rank ``a[p]`` against rank ``b[p]`` for every p at once;
+        file the accepted test points under ``a`` and return which passed."""
+        n_test = _test_point_counts(xs[a], xs[b], edge)
+        n_test[(xs[a] == xs[b]).all(axis=1)] = 0
+        owner, tx, tf, ok = hill_valley_tests(
+            xs[a], xs[b], np.maximum(fs[a], fs[b]), n_test, e)
+        block_tests.append((a[owner[ok]], tx[ok], tf[ok]))
+        passed = np.ones(len(a), dtype=bool)
+        passed[owner[~ok]] = False
+        return passed
+
+    def fallback_walk(i: int):
+        """Root ``i``'s tests against further neighbors, as a coroutine.
+
+        Yields each neighbor to test and is sent whether that test
+        passed; yields None while the cluster of the next neighbor is
+        undecided. Sets ``label[i]``: the cluster joined, or ``n + i`` for
+        a new one.
+        """
+        tried = set()
         for j in better_neighbors(i):
-            cid = label[root[j]]
+            r = root[j]
+            while label[r] < 0:
+                yield None
+            cid = label[r]
             if cid in tried:
                 continue
             if len(tried) >= max_attempts:
                 break
             tried.add(cid)
-            b = Solution(xs[j], float(fs[j]))
-            outcome = hill_valley_test(a, b, test_point_count(a, b, edge), e)
-            tx, tf = outcome.accepted_tests
-            block_tests.append((np.full(len(tf), i), tx, tf))
-            if outcome.same_niche:
-                return cid
-        return -1
+            # The first neighbor is nearest[i], whose test already failed.
+            if len(tried) > 1 and (yield j):
+                label[i] = cid
+                return
+        label[i] = n + i
+
+    def label_roots(roots: np.ndarray, block_tests: list) -> int:
+        """Label the roots of a block in lockstep rounds of fallback tests;
+        return how many clusters they found."""
+        label[roots] = -1  # undecided
+        walks = {i: fallback_walk(i) for i in roots.tolist()}
+        sent: dict[int, bool] = {}
+        while walks:
+            tested = []
+            for i, walk in list(walks.items()):
+                try:
+                    j = walk.send(sent.get(i))
+                except StopIteration:
+                    del walks[i]  # decided: drop its neighbor scan
+                    continue
+                if j is not None:
+                    tested.append((i, j))
+            if tested:
+                a, b = np.array(tested).T
+                sent = dict(zip(a.tolist(), run_tests(a, b, block_tests).tolist()))
+        # Number the new clusters in the rank order of their founders.
+        lab = label[roots]
+        founders = roots[lab == n + roots]
+        label[roots] = np.where(lab >= n, n_clusters + np.searchsorted(founders, lab - n), lab)
+        return len(founders)
 
     worst_case = max_attempts * MAX_TEST_POINTS  # evaluations per solution
     start = 1
@@ -248,26 +340,15 @@ def cluster_population(pop: tuple[np.ndarray, np.ndarray],
             stop = min(n, start + max(1, e.remaining // worst_case))
             ranks = np.arange(start, stop)
             near = nearest[start:stop]
-            n_test = _test_point_counts(xs[start:stop], xs[near], edge)
-            n_test[(xs[start:stop] == xs[near]).all(axis=1)] = 0
-            owner, tx, tf, ok = hill_valley_tests(
-                xs[start:stop], xs[near], np.maximum(fs[start:stop], fs[near]),
-                n_test, e)
-            passed = np.ones(stop - start, dtype=bool)
-            passed[owner[~ok]] = False
-            block_tests = [(start + owner[ok], tx[ok], tf[ok])]
+            block_tests = []
+            passed = run_tests(ranks, near, block_tests)
             root[start:stop] = np.where(passed, near, ranks)
             while True:
                 jumped = root[root[start:stop]]
                 if np.array_equal(jumped, root[start:stop]):
                     break
                 root[start:stop] = jumped
-            for i in ranks[~passed].tolist():
-                cid = fallback(i, block_tests)
-                if cid < 0:
-                    cid = n_clusters
-                    n_clusters += 1
-                label[i] = cid
+            n_clusters += label_roots(ranks[~passed], block_tests)
             label[start:stop] = label[root[start:stop]]
             tests.extend(block_tests)
             start = stop

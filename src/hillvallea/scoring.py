@@ -3,7 +3,8 @@
 A reported solution matches a known optimum when its published fitness is
 within epsilon of the optimal value and it lies within the problem's niche
 radius of that optimum. Matching is greedy by ascending fitness error with
-each optimum claimable once.
+each optimum claimable once. A solution with a non-finite fitness or
+coordinate matches no optimum.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ def score(reported: list[Solution], spec: ProblemSpec,
     pairs = []  # (fitness error, solution index, optimum index)
     for i, sol in enumerate(reported):
         err = abs(sol.f - spec.optimum_fitness)
-        if err > epsilon:
+        if not (err <= epsilon and np.isfinite(sol.x).all()):
             continue
         dists = np.linalg.norm(spec.known_optima - sol.x, axis=1)
         for j in np.flatnonzero(dists <= spec.niche_radius):

@@ -178,7 +178,8 @@ class TestCriterion8TerminationBehavior:
             rng = np.random.default_rng(1000 + trial)
             e = self._double_well_eval()
             elite = e.evaluate(np.array([1.0]))
-            archive = ElitistArchive(x=elite.x[None, :], f=np.array([elite.f]))
+            archive = ElitistArchive(x=elite.x[None, :], f=np.array([elite.f]),
+                                     max_generation=20)
             xs = rng.uniform(0.3, 1.7, 12)
             cluster = Cluster(*e.evaluate_batch(xs[:, None]))
             _, reason, gens = run_core_search(

@@ -263,7 +263,9 @@ class TestRunCoreSearch:
         assert gens >= 1
 
     def test_preseeded_niche_triggers_reexploration_stop(self, double_well_eval):
-        archive = _archive(_sol(double_well_eval, 1.0))
+        elite = _sol(double_well_eval, 1.0)
+        archive = ElitistArchive(x=elite.x[None, :], f=np.array([elite.f]),
+                                 max_generation=50)
         c = _cluster(double_well_eval, [0.7, 0.8, 1.3])
         best, reason, gens = run_core_search(
             c, 30, archive, double_well_eval,

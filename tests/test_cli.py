@@ -177,3 +177,17 @@ class TestScoreCommand:
         report = tmp_path / "bad.txt"
         report.write_text("this is not a report\n")
         assert main(["score", str(report), "--problem", "2"]) == 1
+
+    def test_coordinate_count_mismatch_fails(self, tmp_path, capfd):
+        # problem 4 is 2-D; a 1-D report must not be broadcast and scored
+        report = tmp_path / "r.txt"
+        report.write_text("4 0 100\n3.0 200.0\n")
+        assert main(["score", str(report), "--problem", "4"]) == 1
+        err = capfd.readouterr().err
+        assert "1 coordinates" in err and "dimension 2" in err
+
+    def test_negative_evaluation_count_fails(self, tmp_path, capfd):
+        report = tmp_path / "r.txt"
+        report.write_text("2 0 -5\n0.1 1.0\n")
+        assert main(["score", str(report), "--problem", "2"]) == 1
+        assert "negative evaluation count" in capfd.readouterr().err

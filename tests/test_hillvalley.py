@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hillvallea import hillvalley
+from hillvallea import hillvalley, orchestrator
+from hillvallea.benchmarks import get_problem
 from hillvallea.hillvalley import (MAX_TEST_POINTS, cluster_population,
-                                   expected_edge_length)
+                                   expected_edge_length, nearest_first)
+from hillvallea.hillvalley import _test_point_counts as point_counts
 from hillvallea.hillvalley import hill_valley_test
-from hillvallea.hillvalley import test_point_count as point_count
 from hillvallea.problem import BudgetedEvaluator, BudgetExhausted, Solution
 
 import reference_clustering as ref
@@ -140,11 +141,8 @@ class TestClusterPopulation:
 def test_test_point_count_scales_with_distance():
     spec = synthetic_spec(sphere, [0.0], [10.0], [[0.0]])
     edge = expected_edge_length(spec, 10)  # = 1.0
-    e = BudgetedEvaluator(spec)
-    near = [_sol(e, 1.0), _sol(e, 1.5)]
-    far = [_sol(e, 1.0), _sol(e, 9.0)]
-    assert point_count(near[0], near[1], edge) == 1
-    assert point_count(far[0], far[1], edge) == 5  # capped
+    starts, ends = np.array([[1.0], [1.0]]), np.array([[1.5], [9.0]])
+    assert list(point_counts(starts, ends, edge)) == [1, 5]  # far is capped
 
 
 def _wells(X):
@@ -212,16 +210,16 @@ class TestBatchedClusteringEquivalence:
             e_new = BudgetedEvaluator(short, used=n)
             e_ref = BudgetedEvaluator(short, used=n)
             ran_out_in = []
-            real = hillvalley.hill_valley_test
+            real = hillvalley.hill_valley_tests
 
-            def spy(a, b, n_test, e):
+            def spy(starts, ends, worst, n_test, e):
                 try:
-                    return real(a, b, n_test, e)
+                    return real(starts, ends, worst, n_test, e)
                 except BudgetExhausted:
                     ran_out_in.append(e.used)
                     raise
 
-            with mock.patch.object(hillvalley, "hill_valley_test", spy):
+            with mock.patch.object(hillvalley, "hill_valley_tests", spy):
                 got = cluster_population(pop, e_new)
             assert ran_out_in == [budget]
             _assert_same_clusters(got, ref.cluster_population(pop, e_ref))
@@ -244,3 +242,27 @@ class TestBatchedClusteringEquivalence:
         assert len(clusters) == 1
         assert 1 <= len(calls) <= MAX_TEST_POINTS
         assert sum(calls) == e.used - 300
+
+
+@pytest.mark.parametrize("pid", [6, 7, 10])
+def test_runs_match_the_sequential_reference(pid):
+    # Whole runs on the multimodal 2-D problems, where most fallback
+    # tests happen, give the same report with either clustering.
+    spec = replace(get_problem(pid), budget=30_000)
+    for seed in (0, 1):
+        got = orchestrator.run_hillvallea(spec, seed).serialize()
+        with mock.patch.object(orchestrator, "cluster_population",
+                               ref.cluster_population):
+            want = orchestrator.run_hillvallea(spec, seed).serialize()
+        assert got == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.integers(1, 3), i=st.integers(1, 300), chunk=st.integers(1, 40),
+       seed=st.integers(0, 2 ** 16))
+def test_nearest_first_is_the_stable_argsort(d, i, chunk, seed):
+    # grid points: many better predecessors lie at the same distance
+    coords = np.random.default_rng(seed).integers(0, 4, (i + 1, d)) / 4.0
+    dists = ((coords[:i] - coords[i]) ** 2).sum(axis=1)
+    got = list(nearest_first(coords[:i], coords[i], chunk))
+    assert got == np.argsort(dists, kind="stable").tolist()

@@ -148,6 +148,21 @@ class TestRunReport:
             assert a.f == b.f
             assert np.array_equal(a.x, b.x)
 
+    @given(d=st.integers(1, 3), data=st.data(),
+           head=st.tuples(*[st.integers(0, 2 ** 40)] * 3))
+    @settings(max_examples=100, deadline=None)
+    def test_serialize_parse_roundtrip_is_bitwise(self, d, data, head):
+        finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+        rows = data.draw(st.lists(st.lists(finite, min_size=d + 1, max_size=d + 1),
+                                  max_size=20))
+        r = RunReport(*head, [Solution(np.array(row[:d]), row[d]) for row in rows])
+        back = RunReport.parse(r.serialize())
+        assert (back.problem_id, back.seed, back.evaluations) == head
+        assert len(back.solutions) == len(rows)
+        for a, b in zip(back.solutions, r.solutions):
+            assert a.x.tobytes() == b.x.tobytes()  # -0.0 and 0.0 differ here
+            assert np.float64(a.f).tobytes() == np.float64(b.f).tobytes()
+
 
 class TestFullRun:
     def _spec(self, budget=20000):

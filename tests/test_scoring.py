@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hillvallea.benchmarks import get_problem
+from hillvallea.orchestrator import RunReport
 from hillvallea.problem import Solution
 from hillvallea.scoring import Score, aggregate, score
 
@@ -46,6 +47,18 @@ class TestScore:
     def test_fitness_on_epsilon_boundary_accepted(self):
         reported = _sols([0.1], [1.0 - 1e-5])
         assert score(reported, SPEC2).peaks_found == 1
+
+    def test_nan_fitness_claims_no_optimum(self):
+        report = RunReport.parse("1 0 100\n0.0 nan\n")
+        s = score(report.solutions, get_problem(1))
+        assert s.peaks_found == 0
+        assert s.static_f1 == 0.0
+
+    def test_non_finite_coordinate_claims_no_optimum(self):
+        reported = _sols([np.nan, np.inf, 0.3], [1.0, 1.0, 1.0])
+        s = score(reported, SPEC2)
+        assert s.peaks_found == 1
+        assert s.static_f1 == pytest.approx(1 / 3)
 
     def test_distance_outside_niche_radius_rejected(self):
         reported = _sols([0.1 + 0.011], [1.0])
