@@ -36,7 +36,7 @@ CONVERGED_SPREAD = 1e-7
 TARGET_GAP = 1e-12
 GENERATION_CEILING = 2000
 REEXPLORATION_PERIOD = 5
-REEXPLORATION_TEST_POINTS = 5
+ELITE_TEST_POINTS = 5  # per hill-valley test against an archived elite
 WINDOW = 5  # generations over which the convergence rate is estimated
 GEN_CAP_MULTIPLIER = 50
 
@@ -220,22 +220,26 @@ def generation_step(s: CoreSearchState, e: BudgetedEvaluator,
     return a_g
 
 
-def check_reexploration(s: CoreSearchState, archive: "ElitistArchive",
+def check_reexploration(s: Solution, archive: "ElitistArchive",
                         e: BudgetedEvaluator) -> bool:
-    """True when the search's best shares a niche with the nearest elite."""
-    if len(archive) == 0:
+    """True when ``s`` is in an explored niche: it shares a niche with its
+    nearest elite, and that elite is at least as fit (a less fit one stems
+    from a search cut short). Checked before and during each core search;
+    a test that runs out of budget answers False.
+    """
+    if not len(archive):
         return False
-    elite = archive.elite(archive.nearest_index(s.best.x))
+    i = archive.nearest_index(s.x)
+    if archive.f[i] > s.f:
+        return False
     try:
-        outcome = hill_valley_test(s.best, elite, REEXPLORATION_TEST_POINTS, e)
+        return hill_valley_test(s, archive.elite(i), ELITE_TEST_POINTS, e).same_niche
     except BudgetExhausted:
         return False
-    return outcome.same_niche
 
 
 def run_core_search(c: Cluster, pop_size: int, archive: "ElitistArchive",
                     e: BudgetedEvaluator, rng: np.random.Generator,
-                    gen_cap: int,
                     min_spread: np.ndarray | None = None
                     ) -> tuple[Solution, TerminationReason, int]:
     """Run one core search to termination.
@@ -262,15 +266,11 @@ def run_core_search(c: Cluster, pop_size: int, archive: "ElitistArchive",
 
         if float(np.max(state.stddev)) * state.multiplier < CONVERGED_SPREAD:
             return state.best, TerminationReason.CONVERGED, state.generation
-        # Re-exploration only counts against an elite that is at least as
-        # fit as this search's best; a worse elite marks a niche whose
-        # previous search was cut short, so this one is allowed to finish.
-        if (state.generation % REEXPLORATION_PERIOD == 0 and len(archive)
-                and archive.f[archive.nearest_index(state.best.x)] <= state.best.f
-                and check_reexploration(state, archive, e)):
+        if (state.generation % REEXPLORATION_PERIOD == 0
+                and check_reexploration(state.best, archive, e)):
             return (state.best, TerminationReason.REEXPLORED_NICHE,
                     state.generation)
         if (tracker is not None and tracker.full
-                and check_convergence_termination(tracker, state.generation, gen_cap)):
+                and check_convergence_termination(tracker, state.generation, archive.gen_cap)):
             return (state.best, TerminationReason.LOCAL_MINIMUM_PREDICTED,
                     state.generation)

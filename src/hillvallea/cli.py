@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -38,8 +39,15 @@ class CampaignConfig:
             raise ValueError("runs must be >= 1")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if self.epsilon < DEFAULT_EPSILON:
-            raise ValueError(f"epsilon must be >= {DEFAULT_EPSILON}")
+        check_epsilon(self.epsilon)
+
+
+def check_epsilon(epsilon: float) -> float:
+    """``epsilon``, if it is finite and at least ``DEFAULT_EPSILON``."""
+    if not (math.isfinite(epsilon) and epsilon >= DEFAULT_EPSILON):
+        raise ValueError(f"epsilon must be finite and >= {DEFAULT_EPSILON}, "
+                         f"got {epsilon}")
+    return epsilon
 
 
 def parse_problem_ids(text: str) -> list[int]:
@@ -68,6 +76,13 @@ def parse_problem_ids(text: str) -> list[int]:
 def _problem_ids_arg(text: str) -> list[int]:
     try:
         return parse_problem_ids(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _epsilon_arg(text: str) -> float:
+    try:
+        return check_epsilon(float(text))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -157,15 +172,15 @@ def cmd_score(report_path: str, problem_id: int,
               epsilon: float = DEFAULT_EPSILON, out=None) -> int:
     out = out if out is not None else sys.stdout
     try:
+        spec = get_problem(problem_id)
         report = RunReport.parse(Path(report_path).read_text())
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, UnavailableProblem) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if report.problem_id != problem_id:
         print(f"error: report is for problem {report.problem_id}, "
               f"not {problem_id}", file=sys.stderr)
         return 1
-    spec = get_problem(problem_id)
     if report.evaluations < 0:
         print(f"error: report has a negative evaluation count "
               f"({report.evaluations})", file=sys.stderr)
@@ -195,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--problems", type=_problem_ids_arg, required=True)
     p_run.add_argument("--runs", type=int, default=50)
     p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
+    p_run.add_argument("--epsilon", type=_epsilon_arg, default=DEFAULT_EPSILON)
     p_run.add_argument("--out", default="results.csv")
     p_run.add_argument("--jobs", type=int, default=1)
     p_run.add_argument("--reports-dir", default=None)
@@ -203,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_score = sub.add_parser("score", help="score a stored run report")
     p_score.add_argument("report")
     p_score.add_argument("--problem", type=int, required=True)
-    p_score.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
+    p_score.add_argument("--epsilon", type=_epsilon_arg, default=DEFAULT_EPSILON)
     return parser
 
 

@@ -82,8 +82,6 @@ EXTRA_ATTEMPTS_PER_DIM = 1
 @dataclass
 class HillValleyOutcome:
     same_niche: bool
-    accepted_tests: tuple[np.ndarray, np.ndarray]  # (x, f), in sampling order
-    violator: Solution | None = None
 
 
 @dataclass
@@ -95,10 +93,6 @@ class Cluster:
 
     def __len__(self) -> int:
         return len(self.f)
-
-    @property
-    def best(self) -> int:
-        return int(np.argmin(self.f))
 
     @property
     def best_solution(self) -> Solution:
@@ -149,18 +143,15 @@ def hill_valley_test(a: Solution, b: Solution, n_test: int,
 
     Samples ``n_test`` equidistant interior points on the segment from
     ``a`` to ``b`` (in that order) and accepts iff every point is no worse
-    than the worse endpoint. Stops at the first violating point, which is
-    excluded from the returned test solutions.
+    than the worse endpoint. Stops at the first violating point.
     """
     if np.array_equal(a.x, b.x):
-        return HillValleyOutcome(True, (np.empty((0, len(a.x))), np.empty(0)))
+        return HillValleyOutcome(True)
     if n_test < 1:
         raise ValueError("n_test must be >= 1 for distinct endpoints")
-    _, x, f, ok = hill_valley_tests(a.x[None, :], b.x[None, :],
-                                    np.array([max(a.f, b.f)]), np.array([n_test]), e)
-    if ok[-1]:
-        return HillValleyOutcome(True, (x, f))
-    return HillValleyOutcome(False, (x[:-1], f[:-1]), Solution(x[-1], float(f[-1])))
+    *_, ok = hill_valley_tests(a.x[None, :], b.x[None, :],
+                               np.array([max(a.f, b.f)]), np.array([n_test]), e)
+    return HillValleyOutcome(bool(ok[-1]))
 
 
 def expected_edge_length(spec, pop_size: int) -> float:

@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import amalgam
-from .amalgam import TerminationReason, run_core_search
+from .amalgam import (ELITE_TEST_POINTS, TerminationReason, check_reexploration,
+                      run_core_search)
 from .hillvalley import cluster_population, hill_valley_test
 from .problem import (BudgetedEvaluator, BudgetExhausted, ProblemSpec,
                       Solution, best_of, uniform_init)
@@ -19,7 +19,6 @@ INITIAL_POP_PER_DIM = 2 ** 6
 RESTART_GROWTH = 2
 POSTPROCESS_TOLERANCE = 1e-5
 DEFAULT_GEN_CAP = 100  # used while the archive is still empty
-ARCHIVE_TEST_POINTS = 5
 
 
 def initial_population_size(dimension: int, round_index: int = 0) -> int:
@@ -88,7 +87,7 @@ def archive_insert(a: ElitistArchive, s: Solution, gens: int,
         return "appended"
     idx = a.nearest_index(s.x)
     try:
-        outcome = hill_valley_test(s, a.elite(idx), ARCHIVE_TEST_POINTS, e)
+        outcome = hill_valley_test(s, a.elite(idx), ELITE_TEST_POINTS, e)
     except BudgetExhausted:
         return "discarded"
     if not outcome.same_niche:
@@ -150,19 +149,8 @@ class RunReport:
 
 def _precheck_skip(cluster_best: Solution, archive: ElitistArchive,
                    e: BudgetedEvaluator) -> bool:
-    """True when a cluster's best already sits in an archived niche.
-
-    A niche only counts as explored when its elite is at least as fit as
-    the cluster's best; otherwise the archived entry stems from a search
-    that was cut short and the niche deserves another search.
-    """
-    if not len(archive):
-        return False
-    elite = archive.elite(archive.nearest_index(cluster_best.x))
-    if elite.f > cluster_best.f:
-        return False
-    outcome = hill_valley_test(cluster_best, elite, ARCHIVE_TEST_POINTS, e)
-    return outcome.same_niche
+    """True when a cluster's best already sits in an explored niche."""
+    return check_reexploration(cluster_best, archive, e)
 
 
 def run_hillvallea(spec: ProblemSpec, seed: int) -> RunReport:
@@ -194,8 +182,7 @@ def run_hillvallea(spec: ProblemSpec, seed: int) -> RunReport:
                     continue
                 pop_size = max(len(cluster), min_pop)
                 best, reason, gens = run_core_search(
-                    cluster, pop_size, archive, e, rng, archive.gen_cap,
-                    min_spread=min_spread)
+                    cluster, pop_size, archive, e, rng, min_spread=min_spread)
                 archive_insert(archive, best, gens, e)
                 if reason is TerminationReason.BUDGET_EXHAUSTED:
                     raise BudgetExhausted()

@@ -6,26 +6,32 @@ and returns the same types: a population pair ``(x, f)`` in, clusters of
 ``(x, f)`` rows out.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 from scipy.spatial import cKDTree
 
 from hillvallea.hillvalley import (EXTRA_ATTEMPTS_PER_DIM, MAX_TEST_POINTS,
-                                   Cluster, HillValleyOutcome,
-                                   expected_edge_length)
+                                   Cluster, expected_edge_length)
 from hillvallea.problem import BudgetExhausted, Solution
+
+
+class Outcome(NamedTuple):
+    same_niche: bool
+    accepted_tests: list  # Solutions, in sampling order
 
 
 def hill_valley_test(a, b, n_test, e):
     if np.array_equal(a.x, b.x):
-        return HillValleyOutcome(True, [])
+        return Outcome(True, [])
     worst = max(a.f, b.f)
     accepted = []
     for k in range(1, n_test + 1):
         sol = e.evaluate(a.x + (k / (n_test + 1)) * (b.x - a.x))
         if sol.f > worst:
-            return HillValleyOutcome(False, accepted, violator=sol)
+            return Outcome(False, accepted)
         accepted.append(sol)
-    return HillValleyOutcome(True, accepted)
+    return Outcome(True, accepted)
 
 
 def test_point_count(a, b, edge_length):

@@ -14,7 +14,8 @@ from hillvallea.amalgam import (TARGET_GAP, GENERATION_CEILING,
                                 run_core_search, time_to_optimum)
 from hillvallea.benchmarks import get_problem
 from hillvallea.cli import main
-from hillvallea.hillvalley import Cluster, cluster_population, hill_valley_test
+from hillvallea.hillvalley import (Cluster, cluster_population, hill_valley_test,
+                                   hill_valley_tests)
 from hillvallea.orchestrator import ElitistArchive, run_hillvallea
 from hillvallea.problem import BudgetedEvaluator, Solution, uniform_init
 from hillvallea.scoring import score
@@ -77,10 +78,14 @@ class TestCriterion2HillValleyCorrectness:
             b = double_well_eval.evaluate(np.array([xb]))
             n = int(rng.integers(1, 6))
             out = hill_valley_test(a, b, n, double_well_eval)
+            _, _, tf, ok = hill_valley_tests(
+                a.x[None, :], b.x[None, :], np.array([max(a.f, b.f)]),
+                np.array([n]), double_well_eval)
+            assert out.same_niche == ok.all()
             if xa * xb >= 0.0:
                 assert out.same_niche
             elif not out.same_niche:
-                assert out.violator.f > max(a.f, b.f)
+                assert tf[-1] > max(a.f, b.f)
 
 
 class TestCriterion3ClusteringOracle:
@@ -183,7 +188,7 @@ class TestCriterion8TerminationBehavior:
             xs = rng.uniform(0.3, 1.7, 12)
             cluster = Cluster(*e.evaluate_batch(xs[:, None]))
             _, reason, gens = run_core_search(
-                cluster, 20, archive, e, rng, gen_cap=archive.gen_cap)
+                cluster, 20, archive, e, rng)
             if reason is TerminationReason.REEXPLORED_NICHE and gens <= 10:
                 hits += 1
         assert hits >= 95, f"re-exploration stop in only {hits}/100 trials"
@@ -208,7 +213,7 @@ class TestCriterion8TerminationBehavior:
             xs = rng.uniform(0.5, 1.5, 12)
             cluster = Cluster(*e.evaluate_batch(xs[:, None]))
             _, reason, gens = run_core_search(
-                cluster, 20, archive, e, rng, gen_cap=archive.gen_cap)
+                cluster, 20, archive, e, rng)
             if (reason is TerminationReason.LOCAL_MINIMUM_PREDICTED
                     and gens < GENERATION_CEILING):
                 hits += 1

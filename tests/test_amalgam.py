@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hillvallea.amalgam import (CONVERGED_SPREAD, GEN_CAP_MULTIPLIER,
-                                STDDEV_FLOOR_SCALE, TARGET_GAP, WINDOW,
+from hillvallea import orchestrator
+from hillvallea.amalgam import (CONVERGED_SPREAD, ELITE_TEST_POINTS,
+                                GEN_CAP_MULTIPLIER, STDDEV_FLOOR_SCALE,
+                                TARGET_GAP, WINDOW,
                                 ConvergenceTracker, TerminationReason,
                                 check_convergence_termination,
                                 check_reexploration, estimate_rate,
@@ -231,25 +233,51 @@ class TestGenerationStep:
         assert s.best.f <= 9.0  # partial offspring were still scanned
 
 
+@pytest.mark.parametrize("check",
+                         [orchestrator._precheck_skip, check_reexploration],
+                         ids=["precheck", "reexploration"])
 class TestReexplorationCheck:
-    def test_empty_archive_is_free(self, double_well_eval):
-        s = init_from_cluster(_cluster(double_well_eval, [1.0]), 1,
-                              double_well_eval, np.random.default_rng(0))
+    """The explored-niche check at both of its call sites: before a core
+    search and every REEXPLORATION_PERIOD generations inside one."""
+
+    def test_empty_archive_is_free(self, check, double_well_eval):
+        s = _sol(double_well_eval, 1.0)
         used = double_well_eval.used
-        assert not check_reexploration(s, ElitistArchive(), double_well_eval)
+        assert not check(s, ElitistArchive(), double_well_eval)
         assert double_well_eval.used == used
 
-    def test_same_well_detected(self, double_well_eval):
-        s = init_from_cluster(_cluster(double_well_eval, [0.9]), 1,
-                              double_well_eval, np.random.default_rng(0))
-        archive = _archive(_sol(double_well_eval, 1.0))
-        assert check_reexploration(s, archive, double_well_eval)
+    def test_less_fit_elite_is_free(self, check, double_well_eval):
+        # same well, but the elite is worse: its search was cut short
+        s = _sol(double_well_eval, 0.9)
+        archive = _archive(_sol(double_well_eval, 1.3))
+        used = double_well_eval.used
+        assert not check(s, archive, double_well_eval)
+        assert double_well_eval.used == used
 
-    def test_opposite_well_is_distinct(self, double_well_eval):
-        s = init_from_cluster(_cluster(double_well_eval, [-0.9]), 1,
-                              double_well_eval, np.random.default_rng(0))
+    def test_equally_fit_elite_counts(self, check, sphere_eval):
+        s = _sol(sphere_eval, 0.5)
+        assert check(s, _archive(_sol(sphere_eval, -0.5)), sphere_eval)
+
+    def test_same_well_detected(self, check, double_well_eval):
+        s = _sol(double_well_eval, 0.9)
         archive = _archive(_sol(double_well_eval, 1.0))
-        assert not check_reexploration(s, archive, double_well_eval)
+        assert check(s, archive, double_well_eval)
+
+    def test_opposite_well_is_distinct(self, check, double_well_eval):
+        s = _sol(double_well_eval, -0.9)
+        archive = _archive(_sol(double_well_eval, 1.0))
+        assert not check(s, archive, double_well_eval)
+
+    @pytest.mark.parametrize("in_test", [0, 2, 4])
+    def test_budget_ending_inside_the_test(self, check, in_test):
+        # the test takes ELITE_TEST_POINTS evaluations, all accepted
+        spec = synthetic_spec(double_well, [-2.0], [2.0], [[-1.0], [1.0]],
+                              budget=2 + in_test)
+        e = BudgetedEvaluator(spec)
+        s, archive = _sol(e, 0.9), _archive(_sol(e, 1.0))
+        assert in_test < ELITE_TEST_POINTS
+        assert not check(s, archive, e)
+        assert e.used == spec.budget
 
 
 class TestRunCoreSearch:
@@ -257,7 +285,7 @@ class TestRunCoreSearch:
         c = _cluster(sphere_eval, [1.0, 1.3, 1.6])
         best, reason, gens = run_core_search(
             c, 50, ElitistArchive(), sphere_eval,
-            np.random.default_rng(5), gen_cap=100)
+            np.random.default_rng(5))
         assert reason == TerminationReason.CONVERGED
         assert best.f < 1e-10
         assert gens >= 1
@@ -269,7 +297,7 @@ class TestRunCoreSearch:
         c = _cluster(double_well_eval, [0.7, 0.8, 1.3])
         best, reason, gens = run_core_search(
             c, 30, archive, double_well_eval,
-            np.random.default_rng(6), gen_cap=archive.gen_cap)
+            np.random.default_rng(6))
         assert reason == TerminationReason.REEXPLORED_NICHE
         assert gens <= 50
 
@@ -278,7 +306,7 @@ class TestRunCoreSearch:
         e = BudgetedEvaluator(spec)
         c = _cluster(e, [3.0, 4.0, 5.0])  # consumes the whole budget
         best, reason, gens = run_core_search(
-            c, 30, ElitistArchive(), e, np.random.default_rng(7), gen_cap=100)
+            c, 30, ElitistArchive(), e, np.random.default_rng(7))
         assert reason == TerminationReason.BUDGET_EXHAUSTED
         assert best.f == pytest.approx(9.0)
 
@@ -286,6 +314,6 @@ class TestRunCoreSearch:
         c = _cluster(sphere_eval, [1.0, 1.3, 1.6])
         best, reason, _ = run_core_search(
             c, 50, ElitistArchive(), sphere_eval,
-            np.random.default_rng(8), gen_cap=100)
+            np.random.default_rng(8))
         assert reason == TerminationReason.CONVERGED
         assert abs(best.x[0]) < CONVERGED_SPREAD * 100

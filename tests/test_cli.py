@@ -47,6 +47,11 @@ class TestCampaignConfig:
         with pytest.raises(ValueError):
             CampaignConfig(problem_ids=[1], epsilon=1e-6)
 
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf")])
+    def test_rejects_non_finite_epsilon(self, epsilon):
+        with pytest.raises(ValueError, match="finite"):
+            CampaignConfig(problem_ids=[1], epsilon=epsilon)
+
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_rejects_jobs_below_one(self, jobs):
         with pytest.raises(ValueError, match="jobs"):
@@ -124,10 +129,23 @@ class TestRunCommand:
         assert "unknown" in capfd.readouterr().err
 
     def test_invalid_epsilon_fails_cleanly(self, tmp_path, capfd):
-        rc = main(["run", "--problems", "2", "--epsilon", "1e-9",
-                   "--out", str(tmp_path / "r.csv")])
-        assert rc == 1
+        # rejected by the argument parser, which exits 2
+        with pytest.raises(SystemExit) as exc_info:
+            main(["run", "--problems", "2", "--epsilon", "1e-9",
+                  "--out", str(tmp_path / "r.csv")])
+        assert exc_info.value.code == 2
         assert "epsilon" in capfd.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("epsilon", ["nan", "inf"])
+    def test_non_finite_epsilon_fails_cleanly(self, tmp_path, capfd, epsilon):
+        # nan used to pass the floor check, spend a run and write PR 0.0
+        with pytest.raises(SystemExit) as exc_info:
+            main(["run", "--problems", "2", "--epsilon", epsilon,
+                  "--out", str(tmp_path / "r.csv")])
+        assert exc_info.value.code == 2
+        assert "finite" in capfd.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
 
     @pytest.mark.parametrize("problems, message", [("5-1", "reversed"),
                                                    (",", "no problems")])
@@ -191,3 +209,21 @@ class TestScoreCommand:
         report.write_text("2 0 -5\n0.1 1.0\n")
         assert main(["score", str(report), "--problem", "2"]) == 1
         assert "negative evaluation count" in capfd.readouterr().err
+
+    @pytest.mark.parametrize("problem, message", [(11, "unavailable"),
+                                                  (99, "unknown")])
+    def test_problem_without_spec_fails(self, tmp_path, capfd, problem, message):
+        report = tmp_path / "r.txt"
+        report.write_text(f"{problem} 0 100\n0.1 1.0\n")
+        assert main(["score", str(report), "--problem", str(problem)]) == 1
+        err = capfd.readouterr().err
+        assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "1e-9"])
+    def test_invalid_epsilon_fails(self, tmp_path, capfd, epsilon):
+        report = tmp_path / "r.txt"
+        report.write_text("2 0 100\n0.1 1.0\n")
+        with pytest.raises(SystemExit) as exc_info:
+            main(["score", str(report), "--problem", "2", "--epsilon", epsilon])
+        assert exc_info.value.code == 2
+        assert "epsilon must be finite" in capfd.readouterr().err

@@ -27,43 +27,51 @@ def _pop(e, xs):
     return e.evaluate_batch(xs.reshape(len(xs), -1))
 
 
+def _pair_points(a, b, n_test, e):
+    """``hill_valley_tests`` of the one pair ``hill_valley_test`` tests:
+    the evaluated points, their fitness and whether each was accepted."""
+    _, x, f, ok = hillvalley.hill_valley_tests(
+        a.x[None, :], b.x[None, :], np.array([max(a.f, b.f)]),
+        np.array([n_test]), e)
+    return x, f, ok
+
+
 class TestHillValleyTest:
     def test_identical_points_same_niche_zero_evals(self, sphere_eval):
         a = _sol(sphere_eval, 0.5)
         used = sphere_eval.used
-        out = hill_valley_test(a, Solution(a.x.copy(), a.f), 3, sphere_eval)
+        with mock.patch.object(hillvalley, "hill_valley_tests") as tests:
+            out = hill_valley_test(a, Solution(a.x.copy(), a.f), 3, sphere_eval)
         assert out.same_niche
-        assert out.accepted_tests[0].shape == (0, 1)
-        assert len(out.accepted_tests[1]) == 0
+        tests.assert_not_called()  # no test points at all
         assert sphere_eval.used == used
 
     def test_convex_segment_same_niche(self, sphere_eval):
         # f(x) = x^2, endpoints -1 and 1: interpolants -0.5, 0, 0.5 all <= 1
         a, b = _sol(sphere_eval, -1.0), _sol(sphere_eval, 1.0)
-        out = hill_valley_test(a, b, 3, sphere_eval)
-        assert out.same_niche
-        tx, tf = out.accepted_tests
+        assert hill_valley_test(a, b, 3, sphere_eval).same_niche
+        tx, tf, ok = _pair_points(a, b, 3, sphere_eval)
         assert tx.shape == (3, 1) and len(tf) == 3
-        assert out.violator is None
+        assert ok.all()  # no violator
         assert sorted(tx[:, 0]) == pytest.approx([-0.5, 0.0, 0.5])
         assert list(tf) == pytest.approx(list(tx[:, 0] ** 2))
 
     def test_double_well_midpoint_violates(self, double_well_eval):
         a, b = _sol(double_well_eval, -1.0), _sol(double_well_eval, 1.0)
-        out = hill_valley_test(a, b, 1, double_well_eval)
-        assert not out.same_niche
-        assert len(out.accepted_tests[1]) == 0
-        assert out.violator.x[0] == pytest.approx(0.0)
-        assert out.violator.f == pytest.approx(1.0)
+        assert not hill_valley_test(a, b, 1, double_well_eval).same_niche
+        tx, tf, ok = _pair_points(a, b, 1, double_well_eval)
+        assert list(ok) == [False]  # no accepted point before the violator
+        assert tx[-1, 0] == pytest.approx(0.0)
+        assert tf[-1] == pytest.approx(1.0)
 
     def test_points_sampled_starting_at_first_argument(self, double_well_eval):
         # first test point is nearest to a; the violator (midpoint of a
         # 3-point test) is preceded by one accepted point on a's side
         a, b = _sol(double_well_eval, -1.3), _sol(double_well_eval, 1.3)
-        out = hill_valley_test(a, b, 3, double_well_eval)
-        assert not out.same_niche
-        assert list(out.accepted_tests[0][:, 0]) == pytest.approx([-0.65])
-        assert out.violator.x[0] == pytest.approx(0.0)
+        assert not hill_valley_test(a, b, 3, double_well_eval).same_niche
+        tx, _, ok = _pair_points(a, b, 3, double_well_eval)
+        assert list(ok) == [True, False]
+        assert list(tx[:, 0]) == pytest.approx([-0.65, 0.0])
 
     def test_rejects_n_test_zero_for_distinct_points(self, sphere_eval):
         a, b = _sol(sphere_eval, -1.0), _sol(sphere_eval, 1.0)
@@ -123,9 +131,9 @@ class TestClusterPopulation:
         pop = _pop(double_well_eval, [-1.3, -1.0, 1.2])
         clusters = cluster_population(pop, double_well_eval)
         for c in clusters:
-            assert c.f[c.best] == c.f.min()
+            first_min = int(np.argmin(c.f))
             assert c.best_solution.f == c.f.min()
-            assert np.array_equal(c.best_solution.x, c.x[c.best])
+            assert np.array_equal(c.best_solution.x, c.x[first_min])
 
     def test_budget_exhaustion_returns_partial(self, double_well_1d):
         from dataclasses import replace

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hillvallea import orchestrator
@@ -237,7 +237,8 @@ def _phase_spans(spec, seed):
 
     Clustering runs as the sequential reference, which evaluates the same
     points; see ``conftest.fallback_spans`` for why its fallback spans
-    also locate the batched clustering's fallback tests.
+    also locate the batched clustering's fallback tests. The archive spans
+    are the pre-checks and the archive inserts.
     """
     spans = {"clustering": [], "archive": []}
 
@@ -255,6 +256,8 @@ def _phase_spans(spec, seed):
                            spy(ref.cluster_population, "clustering")), \
             mock.patch.object(orchestrator, "hill_valley_test",
                               spy(orchestrator.hill_valley_test, "archive")), \
+            mock.patch.object(orchestrator, "_precheck_skip",
+                              spy(orchestrator._precheck_skip, "archive")), \
             fallback_spans() as fallback:
         run_hillvallea(spec, seed)
     return dict(spans, fallback=fallback)
@@ -291,3 +294,51 @@ class TestRunInvariants:
         assert report.evaluations == sum(rows)
         again = run_hillvallea(spec, seed)
         assert again.serialize() == report.serialize()
+
+
+def _precheck_spans(spec, seed):
+    """``(used before, used after, reported)`` of every pre-check of a run
+    that evaluates, where ``reported`` is what the run would report from
+    the archive as it stood when that pre-check began."""
+    spans = []
+    real = orchestrator._precheck_skip
+
+    def spy(cluster_best, archive, e):
+        before = e.used
+        reported = [Solution(s.x, spec.to_published(s.f))
+                    for s in postprocess_archive(archive)]
+        try:
+            return real(cluster_best, archive, e)
+        finally:
+            if e.used > before:
+                spans.append((before, e.used, reported))
+
+    with mock.patch.object(orchestrator, "_precheck_skip", spy):
+        run_hillvallea(spec, seed)
+    return spans
+
+
+class TestPrecheckBudget:
+    """A budget that runs out inside a pre-check's hill-valley test: the
+    pre-check answers False, the core search stops at once and the archive
+    insert discards its best, so the run ends with the archive it held when
+    that test began and has spent the whole budget."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(d=st.integers(1, 2), fn=st.sampled_from([double_well, sphere, _wells]),
+           seed=st.integers(0, 2 ** 16), pick=st.integers(0, 10 ** 6))
+    def test_run_ends_with_the_archive_of_that_test(self, d, fn, seed, pick):
+        spec = synthetic_spec(fn, [-2.0] * d, [2.0] * d, [[0.0] * d],
+                              budget=4000, radius=0.2)
+        spans = _precheck_spans(spec, seed)
+        assume(spans)
+        start, end, reported = spans[pick % len(spans)]
+        budget = start + pick % (end - start)
+        report = run_hillvallea(replace(spec, budget=budget), seed)
+        at_start = run_hillvallea(replace(spec, budget=start), seed)
+        assert report.evaluations == budget
+        assert [s.x.tobytes() for s in report.solutions] == \
+            [s.x.tobytes() for s in at_start.solutions] == \
+            [s.x.tobytes() for s in reported]
+        assert [s.f for s in report.solutions] == \
+            [s.f for s in at_start.solutions] == [s.f for s in reported]
