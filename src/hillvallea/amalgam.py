@@ -84,24 +84,24 @@ class ConvergenceTracker:
         return len(self.history) == WINDOW + 1
 
 
-def estimate_rate(delta_old: float, delta_new: float, n: int = WINDOW) -> float:
-    """Convergence-rate estimate over an n-generation window.
+def estimate_rate(delta_old: float, delta_new: float) -> float:
+    """Convergence-rate estimate over the last WINDOW generations.
 
-    r_n = 1 - (1 - (delta_old - delta_new)/delta_old)^(1/n), i.e. the
+    r = 1 - (1 - (delta_old - delta_new)/delta_old)^(1/WINDOW), i.e. the
     per-generation shrink factor of the fitness gap under the exponential
     model delta_{g+1} = delta_g * (1 - r).
     """
     ratio = 1.0 - (delta_old - delta_new) / delta_old
     if ratio <= 0.0:
         return 1.0
-    return 1.0 - ratio ** (1.0 / n)
+    return 1.0 - ratio ** (1.0 / WINDOW)
 
 
-def time_to_optimum(delta_new: float, delta_old: float, n: int = WINDOW) -> float:
+def time_to_optimum(delta_new: float, delta_old: float) -> float:
     """Predicted generations until the fitness gap reaches TARGET_GAP."""
     if delta_new <= TARGET_GAP:
         return 0.0
-    return math.log(TARGET_GAP / delta_new) / ((1.0 / n) * math.log(delta_new / delta_old))
+    return math.log(TARGET_GAP / delta_new) / ((1.0 / WINDOW) * math.log(delta_new / delta_old))
 
 
 def check_convergence_termination(t: ConvergenceTracker, g: int,
@@ -143,7 +143,9 @@ def init_from_cluster(c: Cluster, pop_size: int, e: BudgetedEvaluator,
 
     ``min_spread`` (per-dimension) widens degenerate fits: a singleton or
     very tight cluster would otherwise start with near-zero variance and
-    converge on the spot without descending into its valley.
+    converge on the spot without descending into its valley. When the
+    budget runs out during the top-up, the population keeps the rows
+    evaluated so far, and the next generation ends the search.
     """
     if not len(c):
         raise ValueError("cluster must be non-empty")
@@ -164,8 +166,6 @@ def init_from_cluster(c: Cluster, pop_size: int, e: BudgetedEvaluator,
             x, f = e.evaluate_batch(samples)
         except BudgetExhausted as exc:
             x, f = exc.partial
-            exc.partial = (np.vstack([pop_x, x]), np.concatenate([pop_f, f]))
-            raise
         pop_x, pop_f = np.vstack([pop_x, x]), np.concatenate([pop_f, f])
     return CoreSearchState(mean=mean, stddev=stddev, multiplier=1.0,
                            population=(pop_x, pop_f), generation=0,
@@ -247,11 +247,7 @@ def run_core_search(c: Cluster, pop_size: int, archive: "ElitistArchive",
     Returns the best solution found, the termination reason, and the
     number of generations executed.
     """
-    try:
-        state = init_from_cluster(c, pop_size, e, rng, min_spread=min_spread)
-    except BudgetExhausted as exc:
-        return best_of(*exc.partial), TerminationReason.BUDGET_EXHAUSTED, 0
-
+    state = init_from_cluster(c, pop_size, e, rng, min_spread=min_spread)
     tracker = ConvergenceTracker(b=archive.best_fitness) if len(archive) else None
 
     while True:

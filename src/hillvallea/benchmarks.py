@@ -133,7 +133,7 @@ def _build_specs() -> dict[int, ProblemSpec]:
             id=pid, name=name, dimension=d,
             lower=np.full(d, lower) if np.isscalar(lower) else np.asarray(lower, float),
             upper=np.full(d, upper) if np.isscalar(upper) else np.asarray(upper, float),
-            budget=budget, num_global_optima=len(optima), known_optima=optima,
+            budget=budget, known_optima=optima,
             optimum_fitness=fopt, niche_radius=radius, objective=fn)
 
     add(1, "Five-Uneven-Peak Trap", 1, 0.0, 30.0, 50_000,

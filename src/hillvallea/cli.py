@@ -39,7 +39,15 @@ class CampaignConfig:
             raise ValueError("runs must be >= 1")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        check_seed(self.base_seed)
         check_epsilon(self.epsilon)
+
+
+def check_seed(seed: int) -> int:
+    """``seed``, if it is not negative (numpy rejects negative seeds)."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def check_epsilon(epsilon: float) -> float:
@@ -73,18 +81,14 @@ def parse_problem_ids(text: str) -> list[int]:
     return sorted(set(ids))
 
 
-def _problem_ids_arg(text: str) -> list[int]:
-    try:
-        return parse_problem_ids(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _epsilon_arg(text: str) -> float:
-    try:
-        return check_epsilon(float(text))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _arg(parse):
+    """An argparse type that reports ``parse``'s ValueError as a usage error."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
 
 
 def _single_run(problem_id: int, seed: int, epsilon: float) -> tuple[RunReport, Score]:
@@ -119,6 +123,13 @@ def cmd_run(config: CampaignConfig, out=None) -> int:
         except (UnavailableProblem, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
+    rdir = Path(config.reports_dir) if config.reports_dir else None
+    if rdir is not None:
+        try:
+            rdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            print(f"error: cannot create {rdir}: {exc}", file=sys.stderr)
+            return 1
 
     tasks = [(pid, config.base_seed + i, config.epsilon)
              for pid in config.problem_ids for i in range(config.runs)]
@@ -137,9 +148,7 @@ def cmd_run(config: CampaignConfig, out=None) -> int:
         per_problem[pid].append(sc)
         rows.append([pid, seed, report.evaluations, sc.peaks_found,
                      repr(sc.peak_ratio), repr(sc.static_f1), repr(sc.f1_harmonic)])
-        if config.reports_dir:
-            rdir = Path(config.reports_dir)
-            rdir.mkdir(parents=True, exist_ok=True)
+        if rdir is not None:
             (rdir / f"problem{pid:02d}_seed{seed}.txt").write_text(report.serialize())
     for pid in config.problem_ids:
         agg = aggregate(per_problem[pid])
@@ -198,19 +207,21 @@ def cmd_score(report_path: str, problem_id: int,
 
 
 def build_parser() -> argparse.ArgumentParser:
+    problem_ids = _arg(parse_problem_ids)
+    epsilon = _arg(lambda text: check_epsilon(float(text)))
     parser = argparse.ArgumentParser(
         prog="hillvallea",
         description="Multimodal optimization benchmark harness")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_list = sub.add_parser("list", help="list the benchmark catalog")
-    p_list.add_argument("--problems", type=_problem_ids_arg, default=None)
+    p_list.add_argument("--problems", type=problem_ids, default=None)
 
     p_run = sub.add_parser("run", help="run a seeded benchmark campaign")
-    p_run.add_argument("--problems", type=_problem_ids_arg, required=True)
+    p_run.add_argument("--problems", type=problem_ids, required=True)
     p_run.add_argument("--runs", type=int, default=50)
-    p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--epsilon", type=_epsilon_arg, default=DEFAULT_EPSILON)
+    p_run.add_argument("--seed", type=_arg(lambda text: check_seed(int(text))), default=0)
+    p_run.add_argument("--epsilon", type=epsilon, default=DEFAULT_EPSILON)
     p_run.add_argument("--out", default="results.csv")
     p_run.add_argument("--jobs", type=int, default=1)
     p_run.add_argument("--reports-dir", default=None)
@@ -218,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_score = sub.add_parser("score", help="score a stored run report")
     p_score.add_argument("report")
     p_score.add_argument("--problem", type=int, required=True)
-    p_score.add_argument("--epsilon", type=_epsilon_arg, default=DEFAULT_EPSILON)
+    p_score.add_argument("--epsilon", type=epsilon, default=DEFAULT_EPSILON)
     return parser
 
 

@@ -41,9 +41,8 @@ it, so the lowest undecided root never waits and every round makes
 progress. A block of two or more solutions cannot run out of budget (see
 above), and a block of one runs its tests one after the other, which is
 the sequential algorithm. A root that no test accepts founds a cluster
-under the temporary label ``n + rank``; at the end of the block the
-founders are renumbered in rank order, so clusters are numbered in the
-rank order of their founders, as in the sequential algorithm.
+labelled by its own rank, so cluster labels sort in the rank order of
+their founders, which is how the sequential algorithm numbers them.
 
 Member order. The sequential algorithm appends a solution to its cluster
 followed by its accepted test points, solutions in rank order. Each root's tests
@@ -258,8 +257,7 @@ def cluster_population(pop: tuple[np.ndarray, np.ndarray],
         nearest[i] = next(better_neighbors(i))
 
     root = np.arange(n)  # root[i]: whose cluster i shares (final below start)
-    label = np.zeros(n, dtype=int)  # cluster of each root; rank 0 founds 0
-    n_clusters = 1
+    label = np.zeros(n, dtype=int)  # cluster of each root: its founder's rank
     tests = []  # (rank, x, f) of accepted test points, in evaluation order
 
     def run_tests(a: np.ndarray, b: np.ndarray, block_tests: list) -> np.ndarray:
@@ -279,8 +277,8 @@ def cluster_population(pop: tuple[np.ndarray, np.ndarray],
 
         Yields each neighbor to test and is sent whether that test
         passed; yields None while the cluster of the next neighbor is
-        undecided. Sets ``label[i]``: the cluster joined, or ``n + i`` for
-        a new one.
+        undecided. Sets ``label[i]``: the cluster joined, or ``i`` for a
+        new one.
         """
         tried = set()
         for j in better_neighbors(i):
@@ -297,11 +295,10 @@ def cluster_population(pop: tuple[np.ndarray, np.ndarray],
             if len(tried) > 1 and (yield j):
                 label[i] = cid
                 return
-        label[i] = n + i
+        label[i] = i
 
-    def label_roots(roots: np.ndarray, block_tests: list) -> int:
-        """Label the roots of a block in lockstep rounds of fallback tests;
-        return how many clusters they found."""
+    def label_roots(roots: np.ndarray, block_tests: list) -> None:
+        """Label the roots of a block in lockstep rounds of fallback tests."""
         label[roots] = -1  # undecided
         walks = {i: fallback_walk(i) for i in roots.tolist()}
         sent: dict[int, bool] = {}
@@ -318,11 +315,6 @@ def cluster_population(pop: tuple[np.ndarray, np.ndarray],
             if tested:
                 a, b = np.array(tested).T
                 sent = dict(zip(a.tolist(), run_tests(a, b, block_tests).tolist()))
-        # Number the new clusters in the rank order of their founders.
-        lab = label[roots]
-        founders = roots[lab == n + roots]
-        label[roots] = np.where(lab >= n, n_clusters + np.searchsorted(founders, lab - n), lab)
-        return len(founders)
 
     worst_case = max_attempts * MAX_TEST_POINTS  # evaluations per solution
     start = 1
@@ -339,7 +331,7 @@ def cluster_population(pop: tuple[np.ndarray, np.ndarray],
                 if np.array_equal(jumped, root[start:stop]):
                     break
                 root[start:stop] = jumped
-            n_clusters += label_roots(ranks[~passed], block_tests)
+            label_roots(ranks[~passed], block_tests)
             label[start:stop] = label[root[start:stop]]
             tests.extend(block_tests)
             start = stop
@@ -350,5 +342,5 @@ def cluster_population(pop: tuple[np.ndarray, np.ndarray],
     member = np.argsort(label[rank] * n + rank, kind="stable")
     mx = np.concatenate([xs[:start]] + [t[1] for t in tests])[member]
     mf = np.concatenate([fs[:start]] + [t[2] for t in tests])[member]
-    bounds = np.cumsum(np.bincount(label[rank]))[:-1]
+    bounds = np.flatnonzero(np.diff(label[rank][member])) + 1
     return [Cluster(x, f) for x, f in zip(np.split(mx, bounds), np.split(mf, bounds))]

@@ -18,7 +18,6 @@ from .problem import (BudgetedEvaluator, BudgetExhausted, ProblemSpec,
 INITIAL_POP_PER_DIM = 2 ** 6
 RESTART_GROWTH = 2
 POSTPROCESS_TOLERANCE = 1e-5
-DEFAULT_GEN_CAP = 100  # used while the archive is still empty
 
 
 def initial_population_size(dimension: int, round_index: int = 0) -> int:
@@ -52,8 +51,6 @@ class ElitistArchive:
     @property
     def gen_cap(self) -> int:
         """Max generations any core search needed to find an elite."""
-        if not len(self):
-            return DEFAULT_GEN_CAP
         return max(self.max_generation, 1)
 
     def elite(self, i: int) -> Solution:

@@ -57,8 +57,7 @@ class ProblemSpec:
     lower: np.ndarray
     upper: np.ndarray
     budget: int
-    num_global_optima: int
-    known_optima: np.ndarray  # (num_global_optima, d), published locations
+    known_optima: np.ndarray  # (k, d), published locations of the k optima
     optimum_fitness: float  # shared published fitness of the optima
     niche_radius: float
     objective: Callable[[np.ndarray], np.ndarray]
@@ -79,16 +78,22 @@ class ProblemSpec:
             if shape != (d,):
                 raise ValueError(f"problem {self.id}: {name} has shape {shape}, "
                                  f"expected ({d},)")
-        if self.known_optima.ndim != 2 or self.known_optima.shape[1] != d:
+        if self.known_optima.shape[1:] != (d,) or not len(self.known_optima):
             raise ValueError(f"problem {self.id}: known_optima has shape "
-                             f"{self.known_optima.shape}, expected (k, {d})")
+                             f"{self.known_optima.shape}, expected (k, {d}), k >= 1")
+        if not np.isfinite(self.optimum_fitness):
+            raise ValueError(f"problem {self.id}: optimum_fitness must be finite, "
+                             f"got {self.optimum_fitness}")
+        if not (np.isfinite(self.niche_radius) and self.niche_radius > 0):
+            raise ValueError(f"problem {self.id}: niche_radius must be finite "
+                             f"and > 0, got {self.niche_radius}")
         if not (np.all(np.isfinite(self.lower)) and np.all(np.isfinite(self.upper))
                 and np.all(self.lower < self.upper)):
             raise ValueError(f"invalid bounds for problem {self.id}")
 
     @property
-    def internal_optimum_fitness(self) -> float:
-        return -self.optimum_fitness if self.maximize else self.optimum_fitness
+    def num_global_optima(self) -> int:
+        return len(self.known_optima)
 
     def to_internal(self, published: np.ndarray | float):
         return -published if self.maximize else published
@@ -127,6 +132,8 @@ class BudgetedEvaluator:
         return self.spec.budget - self.used
 
     def evaluate(self, x: np.ndarray) -> Solution:
+        """Evaluate one point. The algorithm evaluates in batches; the
+        sequential reference clustering (tests) evaluates through this."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.spec.dimension,):
             raise DimensionMismatch(

@@ -5,6 +5,9 @@ within epsilon of the optimal value and it lies within the problem's niche
 radius of that optimum. Matching is greedy by ascending fitness error with
 each optimum claimable once. A solution with a non-finite fitness or
 coordinate matches no optimum.
+
+``static_f1`` is, despite its name, the precision: the share of reported
+solutions that match an optimum. The competition's F1 is ``f1_harmonic``.
 """
 
 from __future__ import annotations
@@ -33,10 +36,7 @@ class Summary:
     mean_peak_ratio: float
     mean_static_f1: float
     mean_f1_harmonic: float
-    min_peak_ratio: float
-    max_peak_ratio: float
     mean_evaluations: float
-    max_evaluations: int
 
 
 def score(reported: list[Solution], spec: ProblemSpec,
@@ -75,14 +75,10 @@ def score(reported: list[Solution], spec: ProblemSpec,
 def aggregate(scores: list[Score]) -> Summary:
     if not scores:
         raise ValueError("no scores to aggregate")
-    prs = [s.peak_ratio for s in scores]
     return Summary(
         runs=len(scores),
-        mean_peak_ratio=float(np.mean(prs)),
+        mean_peak_ratio=float(np.mean([s.peak_ratio for s in scores])),
         mean_static_f1=float(np.mean([s.static_f1 for s in scores])),
         mean_f1_harmonic=float(np.mean([s.f1_harmonic for s in scores])),
-        min_peak_ratio=float(np.min(prs)),
-        max_peak_ratio=float(np.max(prs)),
         mean_evaluations=float(np.mean([s.evaluations_used for s in scores])),
-        max_evaluations=int(np.max([s.evaluations_used for s in scores])),
     )

@@ -17,7 +17,7 @@ def synthetic_spec(fn, lower, upper, optima, fopt=0.0, budget=1_000_000,
     optima = np.atleast_2d(np.asarray(optima, float))
     return ProblemSpec(
         id=pid, name=name, dimension=len(lower), lower=lower, upper=upper,
-        budget=budget, num_global_optima=len(optima), known_optima=optima,
+        budget=budget, known_optima=optima,
         optimum_fitness=fopt, niche_radius=radius, objective=fn,
         maximize=False)
 

@@ -1,13 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hillvallea import orchestrator
+from hillvallea import amalgam, orchestrator
 from hillvallea.amalgam import (CONVERGED_SPREAD, ELITE_TEST_POINTS,
-                                GEN_CAP_MULTIPLIER, STDDEV_FLOOR_SCALE,
+                                GEN_CAP_MULTIPLIER, REEXPLORATION_PERIOD,
+                                STDDEV_FLOOR_SCALE,
                                 TARGET_GAP, WINDOW,
                                 ConvergenceTracker, TerminationReason,
                                 check_convergence_termination,
@@ -309,6 +311,51 @@ class TestRunCoreSearch:
             c, 30, ElitistArchive(), e, np.random.default_rng(7))
         assert reason == TerminationReason.BUDGET_EXHAUSTED
         assert best.f == pytest.approx(9.0)
+
+    @pytest.mark.parametrize("top_up", [1, 4, 26])
+    def test_budget_ending_inside_the_top_up(self, top_up):
+        spec = synthetic_spec(sphere, [-10.0], [10.0], [[0.0]], budget=3 + top_up)
+        e = BudgetedEvaluator(spec)
+        c = _cluster(e, [3.0, 4.0, 5.0])  # leaves ``top_up`` of 27 rows
+        best, reason, gens = run_core_search(
+            c, 30, ElitistArchive(), e, np.random.default_rng(9))
+        assert (reason, gens) == (TerminationReason.BUDGET_EXHAUSTED, 0)
+        assert e.used == spec.budget
+        # The same top-up with budget to spare: the first ``top_up`` of its
+        # rows are the ones evaluated above.
+        full = init_from_cluster(c, 30, BudgetedEvaluator(replace(spec, budget=100)),
+                                 np.random.default_rng(9))
+        x, f = (v[:3 + top_up] for v in full.population)
+        i = int(np.argmin(f))
+        assert best.x.tolist() == x[i].tolist() and best.f == f[i]
+
+    def test_reexploration_is_checked_every_period(self, double_well_eval,
+                                                   monkeypatch):
+        # The elite sits in the other well, so the check never fires.
+        elite = _sol(double_well_eval, 1.0)
+        c = _cluster(double_well_eval, [-0.7, -0.8, -1.3])
+        steps, checked_at, answers = [], [], []
+        real_step, real_check = amalgam.generation_step, amalgam.check_reexploration
+
+        def step(*args):
+            steps.append(None)
+            return real_step(*args)
+
+        def check(*args):
+            checked_at.append(len(steps))
+            answers.append(real_check(*args))
+            return answers[-1]
+
+        monkeypatch.setattr(amalgam, "generation_step", step)
+        monkeypatch.setattr(amalgam, "check_reexploration", check)
+        _, reason, gens = run_core_search(
+            c, 30, _archive(elite), double_well_eval, np.random.default_rng(0))
+        assert reason != TerminationReason.REEXPLORED_NICHE
+        assert gens >= 2 * REEXPLORATION_PERIOD
+        assert len(checked_at) == gens // REEXPLORATION_PERIOD
+        assert checked_at == list(range(REEXPLORATION_PERIOD, gens + 1,
+                                        REEXPLORATION_PERIOD))
+        assert not any(answers)
 
     def test_converged_spread_matches_final_distribution(self, sphere_eval):
         c = _cluster(sphere_eval, [1.0, 1.3, 1.6])

@@ -3,6 +3,7 @@ import io
 
 import pytest
 
+from hillvallea import cli
 from hillvallea.cli import (CSV_HEADER, CampaignConfig, cmd_list, main,
                             parse_problem_ids, pool_workers)
 
@@ -56,6 +57,10 @@ class TestCampaignConfig:
     def test_rejects_jobs_below_one(self, jobs):
         with pytest.raises(ValueError, match="jobs"):
             CampaignConfig(problem_ids=[1], jobs=jobs)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            CampaignConfig(problem_ids=[1], base_seed=-1)
 
 
 class TestPoolWorkers:
@@ -156,6 +161,31 @@ class TestRunCommand:
             main(["run", "--problems", problems, "--out", str(tmp_path / "r.csv")])
         assert exc_info.value.code == 2
         assert message in capfd.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("seed, message", [("-1", "seed must be >= 0"),
+                                               ("x", "invalid literal")])
+    def test_bad_seed_fails_without_csv(self, tmp_path, capfd, seed, message):
+        # -1 used to reach numpy and die with a ValueError traceback
+        with pytest.raises(SystemExit) as exc_info:
+            main(["run", "--problems", "3", "--runs", "1", "--seed", seed,
+                  "--out", str(tmp_path / "r.csv")])
+        assert exc_info.value.code == 2
+        assert message in capfd.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_reports_dir_on_a_file_fails_before_any_run(self, tmp_path, capfd,
+                                                         monkeypatch):
+        # used to run the whole campaign, then die in mkdir
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        runs = []
+        monkeypatch.setattr(cli, "_single_run", lambda *a: runs.append(a))
+        rc = main(["run", "--problems", "2", "--runs", "1",
+                   "--reports-dir", str(taken), "--out", str(tmp_path / "r.csv")])
+        assert rc == 1
+        assert "error: cannot create" in capfd.readouterr().err
+        assert runs == []
         assert not (tmp_path / "r.csv").exists()
 
     def test_zero_jobs_fails_cleanly(self, tmp_path, capfd):

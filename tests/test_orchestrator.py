@@ -70,9 +70,6 @@ class TestArchiveInsert:
                               double_well_eval) == "discarded"
         assert len(a) == 1
 
-    def test_gen_cap_default_when_empty(self):
-        assert ElitistArchive().gen_cap == 100
-
     def test_nearest_elite(self, double_well_eval):
         a = ElitistArchive()
         archive_insert(a, _sol(double_well_eval, 1.0), 1, double_well_eval)

@@ -23,7 +23,7 @@ def test_known_optima_match_declared_fitness(pid):
     e = BudgetedEvaluator(spec)
     for opt in spec.known_optima:
         sol = e.evaluate(opt)
-        assert abs(sol.f - spec.internal_optimum_fitness) < 1e-10
+        assert abs(sol.f - spec.to_internal(spec.optimum_fitness)) < 1e-10
 
 
 def test_budget_exhausted_at_limit():
@@ -142,6 +142,28 @@ class TestProblemSpecValidation:
         with pytest.raises(ValueError, match="dimension must be >= 1"):
             self._spec(dimension=0, lower=np.empty(0), upper=np.empty(0),
                        known_optima=np.empty((1, 0)))
+
+    def test_known_optima_must_list_one(self):
+        # an empty list used to make ``score`` divide by zero
+        with pytest.raises(ValueError, match="known_optima has shape \\(0, 1\\)"):
+            self._spec(known_optima=np.empty((0, 1)))
+
+    def test_optimum_count_is_the_known_optima(self):
+        spec = self._spec(known_optima=np.array([[-0.5], [0.5]]))
+        assert spec.num_global_optima == 2
+        with pytest.raises(TypeError):  # derived, so not settable
+            replace(spec, num_global_optima=1)
+
+    @pytest.mark.parametrize("radius", [0.0, -0.1, np.nan, np.inf])
+    def test_niche_radius_must_be_finite_and_positive(self, radius):
+        # used to be accepted, and every run then scored 0
+        with pytest.raises(ValueError, match="niche_radius must be finite and > 0"):
+            self._spec(niche_radius=radius)
+
+    @pytest.mark.parametrize("fopt", [np.nan, np.inf])
+    def test_optimum_fitness_must_be_finite(self, fopt):
+        with pytest.raises(ValueError, match="optimum_fitness must be finite"):
+            self._spec(optimum_fitness=fopt)
 
     @pytest.mark.parametrize("lower, upper", [([1.0], [1.0]), ([2.0], [1.0]),
                                               ([-np.inf], [1.0])])

@@ -107,10 +107,7 @@ class TestAggregate:
         assert s.mean_peak_ratio == pytest.approx(0.75)
         assert s.mean_static_f1 == pytest.approx(0.9)
         assert s.mean_f1_harmonic == pytest.approx(0.8)
-        assert s.min_peak_ratio == 0.5
-        assert s.max_peak_ratio == 1.0
         assert s.mean_evaluations == pytest.approx(45_000)
-        assert s.max_evaluations == 50_000
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
