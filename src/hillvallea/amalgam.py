@@ -178,35 +178,40 @@ def generation_step(s: CoreSearchState, e: BudgetedEvaluator,
     fitness (a_g) used by the convergence tracker.
 
     On BudgetExhausted the state keeps its best-so-far and the exception
-    propagates.
+    propagates. The mean, spread and a_g are the reductions and divisions
+    of numpy's ``_mean`` and ``_var`` without their wrappers, so they equal
+    ``np.mean`` and ``np.std(ddof=0)`` bit for bit.
     """
     spec = e.spec
     pop_x, pop_f = s.population
     pop_size = len(pop_f)
-    selection = np.argsort(pop_f, kind="stable")[:math.ceil(SELECTION_FRACTION * pop_size)]
-    a_g = float(np.mean(pop_f[selection]))
+    n_sel = math.ceil(SELECTION_FRACTION * pop_size)
+    selection = np.argsort(pop_f, kind="stable")[:n_sel]
+    a_g = float(np.add.reduce(pop_f[selection]) / n_sel)
     sel_x = pop_x[selection]
 
     old_mean = s.mean
-    s.mean = sel_x.mean(axis=0)
-    s.stddev = np.maximum(sel_x.std(axis=0, ddof=0), _stddev_floor(spec))
+    s.mean = np.add.reduce(sel_x, axis=0) / n_sel
+    dev = sel_x - s.mean
+    s.stddev = np.maximum(np.sqrt(np.add.reduce(dev * dev, axis=0) / n_sel), _stddev_floor(spec))
     mean_shift = s.mean - old_mean
 
     n_off = max(pop_size - 1, 1)
     xs = s.mean + s.multiplier * s.stddev * rng.standard_normal((n_off, spec.dimension))
     n_ams = min(math.ceil(0.5 * SELECTION_FRACTION * pop_size), n_off)
     xs[:n_ams] += AMS_SHIFT_FACTOR * mean_shift
-    xs = spec.clamp(xs)
+    next_x = np.empty((n_off + 1, spec.dimension))  # offspring rows, then the elite
+    next_x[:n_off] = spec.clamp(xs)
 
     try:
-        off_x, off_f = e.evaluate_batch(xs)
+        off_x, off_f = e.evaluate_batch(next_x[:n_off])
     except BudgetExhausted as exc:
         x, f = exc.partial
         if len(f) and f.min() < s.best.f:
             s.best = best_of(x, f)
         raise
 
-    if off_f.min() < s.best.f:
+    if np.minimum.reduce(off_f) < s.best.f:
         s.best = best_of(off_x, off_f)
         spread = s.multiplier * s.stddev
         beyond = np.any(np.abs(s.best.x - s.mean) > spread)
@@ -215,7 +220,8 @@ def generation_step(s: CoreSearchState, e: BudgetedEvaluator,
     else:
         s.multiplier *= MULTIPLIER_DECREASE
 
-    s.population = (np.vstack([off_x, s.best.x]), np.append(off_f, s.best.f))
+    next_x[n_off] = s.best.x
+    s.population = (next_x, np.concatenate((off_f, [s.best.f])))
     s.generation += 1
     return a_g
 
@@ -260,7 +266,7 @@ def run_core_search(c: Cluster, pop_size: int, archive: "ElitistArchive",
         if tracker is not None:
             tracker.record(a_g)
 
-        if float(np.max(state.stddev)) * state.multiplier < CONVERGED_SPREAD:
+        if float(np.maximum.reduce(state.stddev)) * state.multiplier < CONVERGED_SPREAD:
             return state.best, TerminationReason.CONVERGED, state.generation
         if (state.generation % REEXPLORATION_PERIOD == 0
                 and check_reexploration(state.best, archive, e)):

@@ -35,19 +35,21 @@ class CampaignConfig:
     def __post_init__(self):
         if not self.problem_ids:
             raise ValueError("no problems selected")
-        if self.runs < 1:
-            raise ValueError("runs must be >= 1")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        check_seed(self.base_seed)
+        check_int("runs", 1, self.runs)
+        check_int("jobs", 1, self.jobs)
+        check_int("seed", 0, self.base_seed)  # numpy rejects negative seeds
         check_epsilon(self.epsilon)
 
 
-def check_seed(seed: int) -> int:
-    """``seed``, if it is not negative (numpy rejects negative seeds)."""
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    return seed
+def check_int(name: str, minimum: int, value: int | str) -> int:
+    """``value`` as an integer, if it is one and at least ``minimum``."""
+    try:
+        value = int(value)
+    except ValueError as exc:
+        raise ValueError(f"{name} must be an integer ({exc})") from None
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
 
 
 def check_epsilon(epsilon: float) -> float:
@@ -81,11 +83,11 @@ def parse_problem_ids(text: str) -> list[int]:
     return sorted(set(ids))
 
 
-def _arg(parse):
-    """An argparse type that reports ``parse``'s ValueError as a usage error."""
+def _arg(parse, *args):
+    """An argparse type: ``parse(*args, text)``, its ValueError a usage error."""
     def convert(text: str):
         try:
-            return parse(text)
+            return parse(*args, text)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
     return convert
@@ -123,16 +125,23 @@ def cmd_run(config: CampaignConfig, out=None) -> int:
         except (UnavailableProblem, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-    rdir = Path(config.reports_dir) if config.reports_dir else None
-    if rdir is not None:
+    tasks = [(pid, config.base_seed + i, config.epsilon)
+             for pid in config.problem_ids for i in range(config.runs)]
+    reports = {}
+    if config.reports_dir:
+        rdir = Path(config.reports_dir)
         try:
             rdir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             print(f"error: cannot create {rdir}: {exc}", file=sys.stderr)
             return 1
+        reports = {(pid, seed): rdir / f"problem{pid:02d}_seed{seed}.txt"
+                   for pid, seed, _ in tasks}
+    for path in reports.values():
+        if path.is_dir():
+            print(f"error: cannot write {path}: it is a directory", file=sys.stderr)
+            return 1
 
-    tasks = [(pid, config.base_seed + i, config.epsilon)
-             for pid in config.problem_ids for i in range(config.runs)]
     workers = pool_workers(config.jobs, len(tasks), os.cpu_count())
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -148,8 +157,6 @@ def cmd_run(config: CampaignConfig, out=None) -> int:
         per_problem[pid].append(sc)
         rows.append([pid, seed, report.evaluations, sc.peaks_found,
                      repr(sc.peak_ratio), repr(sc.static_f1), repr(sc.f1_harmonic)])
-        if rdir is not None:
-            (rdir / f"problem{pid:02d}_seed{seed}.txt").write_text(report.serialize())
     for pid in config.problem_ids:
         agg = aggregate(per_problem[pid])
         rows.append([pid, "mean", repr(agg.mean_evaluations),
@@ -158,12 +165,15 @@ def cmd_run(config: CampaignConfig, out=None) -> int:
                      repr(agg.mean_f1_harmonic)])
 
     try:
-        with open(config.out_path, "w", newline="") as fh:
+        for (pid, seed), path in reports.items():
+            path.write_text(by_key[pid, seed][0].serialize())
+        path = config.out_path
+        with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_HEADER)
             writer.writerows(rows)
     except OSError as exc:
-        print(f"error: cannot write {config.out_path}: {exc}", file=sys.stderr)
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
         return 1
     for pid in config.problem_ids:
         agg = aggregate(per_problem[pid])
@@ -219,11 +229,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run a seeded benchmark campaign")
     p_run.add_argument("--problems", type=problem_ids, required=True)
-    p_run.add_argument("--runs", type=int, default=50)
-    p_run.add_argument("--seed", type=_arg(lambda text: check_seed(int(text))), default=0)
+    p_run.add_argument("--runs", type=_arg(check_int, "runs", 1), default=50)
+    p_run.add_argument("--seed", type=_arg(check_int, "seed", 0), default=0)
     p_run.add_argument("--epsilon", type=epsilon, default=DEFAULT_EPSILON)
     p_run.add_argument("--out", default="results.csv")
-    p_run.add_argument("--jobs", type=int, default=1)
+    p_run.add_argument("--jobs", type=_arg(check_int, "jobs", 1), default=1)
     p_run.add_argument("--reports-dir", default=None)
 
     p_score = sub.add_parser("score", help="score a stored run report")

@@ -57,8 +57,9 @@ class ElitistArchive:
         return Solution(self.x[i], float(self.f[i]))
 
     def nearest_index(self, x: np.ndarray) -> int:
-        """Index of the elite closest to ``x`` (first one on ties)."""
-        return int(np.argmin(np.linalg.norm(self.x - x, axis=1)))
+        """Index of the elite closest to ``x`` (first one on ties), by the
+        ``np.linalg.norm`` distances; their ``sqrt`` can merge squares, which decides ties."""
+        return int(np.sqrt(np.add.reduce((self.x - x) ** 2, axis=1)).argmin())
 
     def add(self, s: Solution, gens: int) -> None:
         self.x = s.x[None, :].copy() if self.x is None else np.vstack([self.x, s.x])

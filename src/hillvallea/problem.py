@@ -13,6 +13,7 @@ elite, a reported optimum).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -158,13 +159,15 @@ class BudgetedEvaluator:
         fit = min(n, self.remaining)
         values = np.empty(0)
         if fit > 0:
-            values = np.asarray(self.spec.objective(xs[:fit]), dtype=float)
+            values = np.array(self.spec.objective(xs[:fit]), dtype=float)  # own copy
             if values.shape != (fit,):
                 raise ValueError(
                     f"objective of problem {self.spec.id} returned shape "
                     f"{values.shape} for {fit} rows; expected ({fit},)")
             values = self.spec.to_internal(values)
-            values = np.where(np.isfinite(values), values, np.inf)  # worst
+            # A sum is finite only if every term is (an overflow is a false alarm).
+            if not math.isfinite(np.add.reduce(values)):
+                values[~np.isfinite(values)] = np.inf  # worst
             self.used += fit
         pop = (xs[:fit].copy(), values)
         if fit < n:

@@ -18,7 +18,7 @@ from hillvallea.amalgam import (CONVERGED_SPREAD, ELITE_TEST_POINTS,
                                 run_core_search, time_to_optimum)
 from hillvallea.hillvalley import Cluster
 from hillvallea.orchestrator import ElitistArchive
-from hillvallea.problem import BudgetedEvaluator, BudgetExhausted
+from hillvallea.problem import BudgetedEvaluator, BudgetExhausted, best_of
 
 from conftest import double_well, sphere, synthetic_spec
 
@@ -221,6 +221,29 @@ class TestGenerationStep:
         expected = float(np.mean(sorted(s.population[1])[:n_sel]))
         a_g = generation_step(s, sphere_eval, rng)
         assert a_g == pytest.approx(expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 64), d=st.integers(1, 5), grid=st.booleans(),
+           seed=st.integers(0, 2 ** 16))
+    def test_statistics_are_numpys_bit_for_bit(self, n, d, grid, seed):
+        rng = np.random.default_rng(seed)
+        if grid:  # ties among the rows, the fitness values and the spreads
+            x = rng.integers(-2, 3, (n, d)) / 4.0
+            f = rng.integers(0, 3, n) / 2.0
+        else:
+            x = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-6, 3, d)
+            f = rng.normal(size=n) * 10.0 ** rng.uniform(-6, 6)
+        spec = synthetic_spec(sphere, [-1.0] * d, [1.0] * d, [[0.0] * d])
+        s = amalgam.CoreSearchState(mean=np.zeros(d), stddev=np.ones(d),
+                                    multiplier=1.0, population=(x, f),
+                                    generation=0, best=best_of(x, f))
+        sel = np.argsort(f, kind="stable")[:math.ceil(0.35 * n)]
+        a_g = generation_step(s, BudgetedEvaluator(spec), rng)
+        assert np.float64(a_g).tobytes() == np.float64(np.mean(f[sel])).tobytes()
+        assert s.mean.tobytes() == np.mean(x[sel], axis=0).tobytes()
+        floor = STDDEV_FLOOR_SCALE * (spec.upper - spec.lower)
+        want = np.maximum(np.std(x[sel], axis=0, ddof=0), floor)
+        assert s.stddev.tobytes() == want.tobytes()
 
     def test_budget_exhaustion_keeps_partial_best(self):
         spec = synthetic_spec(sphere, [-10.0], [10.0], [[0.0]], budget=8)

@@ -189,11 +189,60 @@ class TestRunCommand:
         assert not (tmp_path / "r.csv").exists()
 
     def test_zero_jobs_fails_cleanly(self, tmp_path, capfd):
-        rc = main(["run", "--problems", "2", "--jobs", "0",
-                   "--out", str(tmp_path / "r.csv")])
-        assert rc == 1
+        with pytest.raises(SystemExit) as exc_info:
+            main(["run", "--problems", "2", "--jobs", "0",
+                  "--out", str(tmp_path / "r.csv")])
+        assert exc_info.value.code == 2
         assert "jobs" in capfd.readouterr().err
         assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--runs", "0", "argument --runs: runs must be >= 1"),
+        ("--runs", "-3", "argument --runs: runs must be >= 1"),
+        ("--runs", "two", "argument --runs: runs must be an integer"),
+        ("--jobs", "1.5", "argument --jobs: jobs must be an integer"),
+        ("--seed", "0x1", "argument --seed: seed must be an integer")])
+    def test_bad_count_is_a_usage_error(self, tmp_path, capfd, flag, value,
+                                        message):
+        # --runs 0 and --jobs 0 used to exit 1 from CampaignConfig
+        with pytest.raises(SystemExit) as exc_info:
+            main(["run", "--problems", "2", flag, value,
+                  "--out", str(tmp_path / "r.csv")])
+        assert exc_info.value.code == 2
+        assert message in capfd.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_report_path_on_a_directory_fails_before_any_run(
+            self, tmp_path, capfd, monkeypatch):
+        # used to run the whole campaign, then die with IsADirectoryError
+        (tmp_path / "rep" / "problem02_seed0.txt").mkdir(parents=True)
+        runs = []
+        monkeypatch.setattr(cli, "_single_run", lambda *a: runs.append(a))
+        rc = main(["run", "--problems", "2", "--runs", "1",
+                   "--reports-dir", str(tmp_path / "rep"),
+                   "--out", str(tmp_path / "r.csv")])
+        assert rc == 1
+        err = capfd.readouterr().err
+        assert "error: cannot write" in err and "problem02_seed0.txt" in err
+        assert runs == []
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_report_write_error_fails_cleanly(self, tmp_path, capfd, monkeypatch):
+        # the report path becomes a directory while the campaign runs
+        real = cli._single_run
+
+        def run_then_block(*task):
+            (tmp_path / "rep" / "problem02_seed0.txt").mkdir()
+            return real(*task)
+
+        monkeypatch.setattr(cli, "_single_run", run_then_block)
+        rc = main(["run", "--problems", "2", "--runs", "1",
+                   "--reports-dir", str(tmp_path / "rep"),
+                   "--out", str(tmp_path / "r.csv")])
+        assert rc == 1
+        err = capfd.readouterr().err
+        assert "error: cannot write" in err and "problem02_seed0.txt" in err
+        assert "Traceback" not in err
 
 
 class TestScoreCommand:

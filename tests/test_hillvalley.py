@@ -87,6 +87,45 @@ class TestHillValleyTest:
         out = hill_valley_test(_sol(e, lo), _sol(e, hi), n_test, e)
         assert out.same_niche
 
+    @settings(max_examples=300, deadline=None)
+    @given(d=st.integers(1, 3), fn=st.sampled_from([double_well, sphere]),
+           grid=st.booleans(), n_test=st.integers(1, 5), left=st.integers(0, 6),
+           seed=st.integers(0, 2 ** 16))
+    def test_single_pair_path_is_the_batched_path(self, d, fn, grid, n_test,
+                                                   left, seed):
+        # Same verdict, same rows in the same calls, same budget use, and
+        # the budget (``left`` evaluations) runs out at the same point.
+        rng = np.random.default_rng(seed)
+        # a coarse grid repeats points, so identical endpoints occur
+        xs = (rng.integers(-4, 5, (2, d)) / 2.0 if grid
+              else rng.uniform(-2.0, 2.0, (2, d)))
+        a, b = (Solution(x, float(v)) for x, v in zip(xs, fn(xs)))
+
+        def run(test):
+            calls = []
+
+            def spy(X):
+                calls.append(X.tobytes())
+                return fn(X)
+
+            spec = _spec(spy, d, budget=10)
+            e = BudgetedEvaluator(spec, used=spec.budget - left)
+            try:
+                verdict = test(e)
+            except BudgetExhausted:
+                verdict = "exhausted"
+            return verdict, e.used, calls
+
+        def batched(e):
+            n = 0 if np.array_equal(a.x, b.x) else n_test
+            *_, ok = hillvalley.hill_valley_tests(
+                a.x[None, :], b.x[None, :], np.array([max(a.f, b.f)]),
+                np.array([n]), e)
+            return bool(ok.all())
+
+        got = run(lambda e: hill_valley_test(a, b, n_test, e).same_niche)
+        assert got == run(batched)
+
 
 class TestClusterPopulation:
     def test_single_solution(self, sphere_eval):

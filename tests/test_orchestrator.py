@@ -78,6 +78,21 @@ class TestArchiveInsert:
         assert a.elite(a.nearest_index(np.array([0.8]))).x[0] == pytest.approx(1.0)
         assert a.nearest_index(np.array([-0.4])) == 1
 
+    @settings(max_examples=300, deadline=None)
+    @given(k=st.integers(1, 30), d=st.integers(1, 3), nudge=st.booleans(),
+           seed=st.integers(0, 2 ** 16))
+    def test_nearest_index_is_the_norm_argmin(self, k, d, nudge, seed):
+        # grid points tie at equal distances; a nudged copy lies one ulp
+        # off its row, where the sqrt can merge two squared distances
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, 4, (k, d)) / 4.0
+        if nudge:
+            x = x + rng.uniform(0.0, 1.0)
+            x = np.vstack([x, np.nextafter(x, np.inf)])[rng.permutation(2 * k)]
+        p = rng.integers(0, 4, d) / 4.0
+        a = ElitistArchive(x=x, f=np.zeros(len(x)))
+        assert a.nearest_index(p) == int(np.argmin(np.linalg.norm(x - p, axis=1)))
+
 
 class TestPostprocess:
     def _archive(self, fitnesses):
