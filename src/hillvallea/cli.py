@@ -107,6 +107,10 @@ def pool_workers(jobs: int, n_tasks: int, cpu_count: int | None) -> int:
 
 def cmd_list(problem_ids: list[int] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
+    for pid in problem_ids or ():
+        if pid not in benchmarks.ALL_IDS:
+            print(f"error: unknown problem id {pid}", file=sys.stderr)
+            return 1
     for entry in benchmarks.catalog():
         if problem_ids and entry.id not in problem_ids:
             continue

@@ -32,15 +32,21 @@ whose cluster it shares. Only those roots run fallback tests against
 further neighbors; the cluster of any neighbor is that of its root.
 
 Fallback tests in rounds. The roots of a block are labelled together.
-Each round, every undecided root walks its neighbor list in rank order
-up to its next test, skipping neighbors in clusters it has tried; it
-waits while the root of its next neighbor is itself undecided. All tests
-scheduled in a round then run in one ``hill_valley_tests`` call, each
-pair with its own early stop. A root depends only on roots ranked before
-it, so the lowest undecided root never waits and every round makes
-progress. A block of two or more solutions cannot run out of budget (see
-above), and a block of one runs its tests one after the other, which is
-the sequential algorithm. A root that no test accepts founds a cluster
+Each undecided root walks its neighbor list in rank order up to its next
+test, skipping neighbors in clusters it has tried. When the root of its
+next neighbor is itself undecided, the walk files itself under that root
+and sleeps; it is woken, in the same round, when that root's walk ends.
+A round resumes the walks sent a test result and the walks woken during
+the round, lowest rank first. All tests scheduled in a round then run in
+one ``hill_valley_tests`` call, each pair with its own early stop. A root
+depends only on roots ranked before it, so a waking root always runs
+before its waiters, the lowest undecided root never waits, and every
+round makes progress: these are the rounds that resuming every walk in
+every round would make, with the same tests in the same order, but a
+waiting walk is resumed once instead of once per round. A block of two
+or more solutions cannot run out of budget (see above), and a block of
+one runs its tests one after the other, which is the sequential
+algorithm. A root that no test accepts founds a cluster
 labelled by its own rank, so cluster labels sort in the rank order of
 their founders, which is how the sequential algorithm numbers them.
 
@@ -53,15 +59,22 @@ and the test points in evaluation order, gives the same member order.
 Neighbor order. The neighbors of rank i are the solutions ranked before
 i in its KD-tree shortlist (its 8 * (1 + d) nearest), in shortlist order,
 then, if the walk gets past them, the other better solutions by distance.
-That order is ``argsort(kind="stable")`` of the distances, produced a
-chunk at a time by ``nearest_first``, so a walk that stops early costs
-O(i) instead of a full sort. A root's
-walk, with its distance array, is dropped as soon as the root is
-decided.
+That order is ``argsort(kind="stable")`` of the squared distances
+``((coords[:i] - coords[i]) ** 2).sum(axis=1)``, produced a chunk at a
+time by ``nearest_first``, so a walk that stops early costs O(i) instead
+of a full sort. The squared distances are those bits, computed by
+``squared_distances``: for d < 8 numpy adds a row's squares left to
+right, so they are added a column at a time over a column-major copy of
+the coordinates, made once per clustering; from d = 8 on numpy sums
+pairwise, and the rows are reduced as numpy reduces them. A root's walk
+is dropped as soon as the root is decided.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
+import sys
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -159,9 +172,17 @@ def hill_valley_test(a: Solution, b: Solution, n_test: int,
 
 
 def expected_edge_length(spec, pop_size: int) -> float:
-    """Expected nearest-neighbor spacing of a uniform population."""
-    volume = float(np.prod(spec.upper - spec.lower))
-    return (volume / pop_size) ** (1.0 / spec.dimension)
+    """Expected nearest-neighbor spacing of a uniform population:
+    ``(volume / pop_size) ** (1 / d)``, in log space when that quotient
+    overflows or falls below the normal floats (a wide or a narrow box in
+    many dimensions)."""
+    widths = spec.upper - spec.lower
+    with np.errstate(over="ignore", under="ignore"):
+        share = float(np.prod(widths)) / pop_size
+    if sys.float_info.min <= share < math.inf:
+        return share ** (1.0 / spec.dimension)
+    return math.exp((float(np.log(widths).sum()) - math.log(pop_size))
+                    / spec.dimension)
 
 
 def nearest_first(points: np.ndarray, x: np.ndarray, chunk: int) -> Iterator[int]:
@@ -182,12 +203,31 @@ def nearest_first(points: np.ndarray, x: np.ndarray, chunk: int) -> Iterator[int
         chunk *= 8
 
 
+def squared_distances(points: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``((p - x) ** 2).sum(axis=1)`` for ``p``, a C-ordered copy of
+    ``points``, bit for bit, whatever the layout of ``points``.
+
+    numpy sums a row of fewer than eight terms left to right, so for
+    d < 8 the squares are added a column at a time, which is the same
+    sum and fast when ``points`` is column-major. From eight terms on,
+    numpy sums pairwise, in an order that depends on the layout, so the
+    rows are reduced as numpy reduces them in C order.
+    """
+    if len(x) >= 8:
+        return ((np.ascontiguousarray(points) - x) ** 2).sum(axis=1)
+    cols = points.T
+    d = (cols[0] - x[0]) ** 2
+    for k in range(1, len(x)):
+        d += (cols[k] - x[k]) ** 2
+    return d
+
+
 def _next_chunk(points: np.ndarray, x: np.ndarray, passed: float,
                 chunk: int) -> tuple[list[int], float]:
     """The rows whose squared distance to ``x`` exceeds ``passed``, up to
     and including every tie of the ``chunk``-th smallest such distance, in
     (distance, index) order; and that distance, or inf if no row is left."""
-    d = ((points - x) ** 2).sum(axis=1)
+    d = squared_distances(points, x)
     rest = np.flatnonzero(d > passed)
     limit = np.inf
     if rest.size > chunk:
@@ -227,6 +267,7 @@ def cluster_population(pop: tuple[np.ndarray, np.ndarray],
     order = np.argsort(pop_f, kind="stable")
     xs, fs = pop_x[order], pop_f[order]
     coords = xs / (spec.upper - spec.lower)  # box-normalized
+    columns = np.asfortranarray(coords)  # for walks past the shortlist
     edge = expected_edge_length(spec, n)
     max_attempts = 1 + d * EXTRA_ATTEMPTS_PER_DIM
 
@@ -246,7 +287,7 @@ def cluster_population(pop: tuple[np.ndarray, np.ndarray],
                     yield int(j)
             if len(seen) == i:
                 return
-        for j in nearest_first(coords[:i], coords[i], 2 * shortlist_k):
+        for j in nearest_first(columns[:i], coords[i], 2 * shortlist_k):
             if j not in seen:
                 yield j
 
@@ -263,6 +304,7 @@ def cluster_population(pop: tuple[np.ndarray, np.ndarray],
 
     root = np.arange(n)  # root[i]: whose cluster i shares (final below start)
     label = np.zeros(n, dtype=int)  # cluster of each root: its founder's rank
+    waiters: dict[int, list[int]] = {}  # undecided root -> walks waiting on it
     tests = []  # (rank, x, f) of accepted test points, in evaluation order
 
     def run_tests(a: np.ndarray, b: np.ndarray, block_tests: list) -> np.ndarray:
@@ -281,14 +323,16 @@ def cluster_population(pop: tuple[np.ndarray, np.ndarray],
         """Root ``i``'s tests against further neighbors, as a coroutine.
 
         Yields each neighbor to test and is sent whether that test
-        passed; yields None while the cluster of the next neighbor is
-        undecided. Sets ``label[i]``: the cluster joined, or ``i`` for a
-        new one.
+        passed. When the cluster of the next neighbor is undecided, it
+        files ``i`` under that neighbor's root in ``waiters`` and yields
+        None, to be resumed once that root is decided. Sets ``label[i]``:
+        the cluster joined, or ``i`` for a new one.
         """
         tried = set()
         for j in better_neighbors(i):
             r = root[j]
-            while label[r] < 0:
+            if label[r] < 0:
+                waiters.setdefault(r, []).append(i)
                 yield None
             cid = label[r]
             if cid in tried:
@@ -303,23 +347,34 @@ def cluster_population(pop: tuple[np.ndarray, np.ndarray],
         label[i] = i
 
     def label_roots(roots: np.ndarray, block_tests: list) -> None:
-        """Label the roots of a block in lockstep rounds of fallback tests."""
+        """Label the roots of a block in lockstep rounds of fallback tests.
+
+        A round resumes the walks that are ready, lowest rank first: those
+        sent a test result and those woken when the root they wait on is
+        decided. That root is ranked before them, so they still run in
+        the round that decided it.
+        """
         label[roots] = -1  # undecided
         walks = {i: fallback_walk(i) for i in roots.tolist()}
+        ready = list(walks)  # ascending, so already a heap
         sent: dict[int, bool] = {}
-        while walks:
+        while ready:
             tested = []
-            for i, walk in list(walks.items()):
+            while ready:
+                i = heapq.heappop(ready)
                 try:
-                    j = walk.send(sent.get(i))
+                    j = walks[i].send(sent.pop(i, None))
                 except StopIteration:
                     del walks[i]  # decided: drop its neighbor scan
+                    for w in waiters.pop(i, ()):
+                        heapq.heappush(ready, w)
                     continue
                 if j is not None:
                     tested.append((i, j))
             if tested:
                 a, b = np.array(tested).T
-                sent = dict(zip(a.tolist(), run_tests(a, b, block_tests).tolist()))
+                ready = a.tolist()
+                sent = dict(zip(ready, run_tests(a, b, block_tests).tolist()))
 
     worst_case = max_attempts * MAX_TEST_POINTS  # evaluations per solution
     start = 1

@@ -2,10 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from hillvallea.benchmarks import (ALL_IDS, AVAILABLE_IDS, UnavailableProblem,
-                                   catalog, get_problem)
+                                   catalog, get_problem, shubert)
 
 # dimension, number of global optima, budget, niche radius
 EXPECTED = {
@@ -163,6 +165,20 @@ class TestIndependentOptimaCounts:
         assert len(peaks) == 6
         assert get_problem(7).num_global_optima == 6 ** 2
         assert get_problem(9).num_global_optima == 6 ** 3
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.integers(1, 3), n=st.integers(1, 50), grid=st.booleans(),
+       seed=st.integers(0, 2 ** 16))
+def test_shubert_is_the_sum_and_product_expression(d, n, grid, seed):
+    # bit for bit the np.sum/np.prod form of the Shubert function
+    rng = np.random.default_rng(seed)
+    X = (rng.integers(-40, 41, (n, d)) / 4.0 if grid
+         else rng.uniform(-10.0, 10.0, (n, d)))
+    j = np.arange(1, 6)
+    want = -np.prod(np.sum(j * np.cos((j + 1) * X[..., None] + j), axis=-1),
+                    axis=-1)
+    assert shubert(X).tobytes() == want.tobytes()
 
 
 def _count_shubert_1d_positions(kind):

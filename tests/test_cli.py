@@ -91,6 +91,13 @@ class TestListCommand:
         assert lines[0].split()[0] == "2"
         assert "unavailable" in lines[1]
 
+    @pytest.mark.parametrize("text, bad", [("25", 25), ("0,3", 0), ("3,21-22", 21)])
+    def test_unknown_problem_fails_cleanly(self, capfd, text, bad):
+        assert main(["list", "--problems", text]) == 1
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert err == f"error: unknown problem id {bad}\n"
+
 
 class TestRunCommand:
     def _run(self, tmp_path, extra=()):

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 from hillvallea import hillvalley, orchestrator
 from hillvallea.benchmarks import get_problem
 from hillvallea.hillvalley import (MAX_TEST_POINTS, cluster_population,
-                                   expected_edge_length, nearest_first)
+                                   expected_edge_length, nearest_first,
+                                   squared_distances)
 from hillvallea.hillvalley import _test_point_counts as point_counts
 from hillvallea.hillvalley import hill_valley_test
 from hillvallea.problem import BudgetedEvaluator, BudgetExhausted, Solution
@@ -192,6 +194,24 @@ def test_test_point_count_scales_with_distance():
     assert list(point_counts(starts, ends, edge)) == [1, 5]  # far is capped
 
 
+@pytest.mark.parametrize("d, width", [(200, 0.01), (400, 20.0)])
+def test_box_volume_out_of_float_range(d, width):
+    # 0.01 ** 200 underflows to 0 and 20 ** 400 overflows to inf; the edge
+    # length must still be width * n ** (-1 / d), and clustering must test.
+    n = 40
+    spec = synthetic_spec(_wells, [0.0] * d, [width] * d, [[0.0] * d])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        edge = expected_edge_length(spec, n)
+        assert edge == pytest.approx(width * n ** (-1.0 / d), rel=1e-12)
+        e = BudgetedEvaluator(spec)
+        pop = e.evaluate_batch(
+            np.random.default_rng(d).uniform(0.0, width, (n, d)))
+        clusters = cluster_population(pop, e)
+    assert e.used > n
+    assert sum(len(c) for c in clusters) >= n
+
+
 def _wells(X):
     # several valleys per axis on [-2, 2]^d, so first tests often fail
     return np.cos(5.0 * X).sum(axis=1)
@@ -219,7 +239,9 @@ class TestBatchedClusteringEquivalence:
     """The batched clustering against the sequential reference."""
 
     @settings(max_examples=150, deadline=None)
-    @given(d=st.integers(1, 3), n=st.integers(1, 90),
+    # d = 8 is the first dimension whose squared distances numpy sums
+    # pairwise (see ``squared_distances``)
+    @given(d=st.sampled_from([1, 2, 3, 8]), n=st.integers(1, 90),
            fn=st.sampled_from([_wells, _many_wells, double_well, sphere]),
            grid=st.booleans(), extra=st.integers(0, 400),
            seed=st.integers(0, 2 ** 16))
@@ -272,6 +294,31 @@ class TestBatchedClusteringEquivalence:
             _assert_same_clusters(got, ref.cluster_population(pop, e_ref))
             assert e_new.used == e_ref.used == budget
 
+    @pytest.mark.parametrize("d, n_rounds", [(1, 5), (2, 26), (3, 58)])
+    def test_each_round_tests_in_rank_order(self, d, n_rounds):
+        # A walk woken when the root it waits on is decided runs in that
+        # same round, in rank order with the others, so the solutions
+        # tested in any one round ascend in fitness, and there are as many
+        # rounds as when every waiting walk is resumed in every round (the
+        # counts that schedule made on these populations).
+        n = 100 * d
+        spec = _spec(_many_wells, d)
+        pop = BudgetedEvaluator(spec).evaluate_batch(
+            np.random.default_rng(d).uniform(-2.0, 2.0, (n, d)))
+        fitness = {x.tobytes(): f for x, f in zip(*pop)}
+        rounds = []
+        real = hillvalley.hill_valley_tests
+
+        def spy(starts, ends, worst, n_test, e):
+            rounds.append([fitness[x.tobytes()] for x in starts])
+            return real(starts, ends, worst, n_test, e)
+
+        with mock.patch.object(hillvalley, "hill_valley_tests", spy):
+            cluster_population(pop, BudgetedEvaluator(spec, used=n))
+        assert len(rounds) == n_rounds
+        for r in rounds:
+            assert r == sorted(r)
+
     @pytest.mark.parametrize("d", [1, 2])
     def test_unimodal_population_takes_few_objective_calls(self, d):
         calls = []
@@ -313,3 +360,19 @@ def test_nearest_first_is_the_stable_argsort(d, i, chunk, seed):
     dists = ((coords[:i] - coords[i]) ** 2).sum(axis=1)
     got = list(nearest_first(coords[:i], coords[i], chunk))
     assert got == np.argsort(dists, kind="stable").tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=st.integers(1, 12), n=st.integers(0, 40), grid=st.booleans(),
+       fortran=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_squared_distances_are_numpys_bit_for_bit(d, n, grid, fortran, seed):
+    # d = 8 is where numpy switches from a left-to-right to a pairwise sum
+    rng = np.random.default_rng(seed)
+    if grid:  # ties and exact zeros
+        p, x = rng.integers(-4, 5, (n, d)) / 4.0, rng.integers(-4, 5, d) / 4.0
+    else:  # rounding over many decades
+        p = rng.uniform(-1, 1, (n, d)) * 10.0 ** rng.integers(-9, 10, (n, d))
+        x = rng.uniform(-1, 1, d) * 10.0 ** rng.integers(-9, 10, d)
+    want = ((p - x) ** 2).sum(axis=1)
+    got = squared_distances(np.asfortranarray(p) if fortran else p, x)
+    assert got.tobytes() == want.tobytes()
