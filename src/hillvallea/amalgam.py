@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .hillvalley import Cluster, hill_valley_test
-from .problem import BudgetedEvaluator, BudgetExhausted, Solution, best_of
+from .problem import BudgetedEvaluator, Solution, best_of
 
 if TYPE_CHECKING:
     from .orchestrator import ElitistArchive
@@ -45,7 +45,7 @@ class TerminationReason(enum.Enum):
     REEXPLORED_NICHE = "reexplored_niche"
     LOCAL_MINIMUM_PREDICTED = "local_minimum_predicted"
     MAXED_OUT = "maxed_out"
-    BUDGET_EXHAUSTED = "budget_exhausted"
+    BUDGET_EXHAUSTED = "budget_exhausted"  # never returned; the benchmark ledger lists it
     CONVERGED = "converged"
 
 
@@ -143,9 +143,7 @@ def init_from_cluster(c: Cluster, pop_size: int, e: BudgetedEvaluator,
 
     ``min_spread`` (per-dimension) widens degenerate fits: a singleton or
     very tight cluster would otherwise start with near-zero variance and
-    converge on the spot without descending into its valley. When the
-    budget runs out during the top-up, the population keeps the rows
-    evaluated so far, and the next generation ends the search.
+    converge on the spot without descending into its valley.
     """
     if not len(c):
         raise ValueError("cluster must be non-empty")
@@ -162,10 +160,7 @@ def init_from_cluster(c: Cluster, pop_size: int, e: BudgetedEvaluator,
     if n_extra > 0:
         samples = e.spec.clamp(
             mean + stddev * rng.standard_normal((n_extra, e.spec.dimension)))
-        try:
-            x, f = e.evaluate_batch(samples)
-        except BudgetExhausted as exc:
-            x, f = exc.partial
+        x, f = e.evaluate_batch(samples)
         pop_x, pop_f = np.vstack([pop_x, x]), np.concatenate([pop_f, f])
     return CoreSearchState(mean=mean, stddev=stddev, multiplier=1.0,
                            population=(pop_x, pop_f), generation=0,
@@ -177,10 +172,9 @@ def generation_step(s: CoreSearchState, e: BudgetedEvaluator,
     """Advance the search by one generation; returns the selection mean
     fitness (a_g) used by the convergence tracker.
 
-    On BudgetExhausted the state keeps its best-so-far and the exception
-    propagates. The mean, spread and a_g are the reductions and divisions
-    of numpy's ``_mean`` and ``_var`` without their wrappers, so they equal
-    ``np.mean`` and ``np.std(ddof=0)`` bit for bit.
+    The mean, spread and a_g are the reductions and divisions of numpy's
+    ``_mean`` and ``_var`` without their wrappers, so they equal ``np.mean``
+    and ``np.std(ddof=0)`` bit for bit.
     """
     spec = e.spec
     pop_x, pop_f = s.population
@@ -203,14 +197,7 @@ def generation_step(s: CoreSearchState, e: BudgetedEvaluator,
     next_x = np.empty((n_off + 1, spec.dimension))  # offspring rows, then the elite
     next_x[:n_off] = spec.clamp(xs)
 
-    try:
-        off_x, off_f = e.evaluate_batch(next_x[:n_off])
-    except BudgetExhausted as exc:
-        x, f = exc.partial
-        if len(f) and f.min() < s.best.f:
-            s.best = best_of(x, f)
-        raise
-
+    off_x, off_f = e.evaluate_batch(next_x[:n_off])
     if np.minimum.reduce(off_f) < s.best.f:
         s.best = best_of(off_x, off_f)
         spread = s.multiplier * s.stddev
@@ -230,18 +217,14 @@ def check_reexploration(s: Solution, archive: "ElitistArchive",
                         e: BudgetedEvaluator) -> bool:
     """True when ``s`` is in an explored niche: it shares a niche with its
     nearest elite, and that elite is at least as fit (a less fit one stems
-    from a search cut short). Checked before and during each core search;
-    a test that runs out of budget answers False.
+    from a search cut short). Checked before and during each core search.
     """
     if not len(archive):
         return False
     i = archive.nearest_index(s.x)
     if archive.f[i] > s.f:
         return False
-    try:
-        return hill_valley_test(s, archive.elite(i), ELITE_TEST_POINTS, e).same_niche
-    except BudgetExhausted:
-        return False
+    return hill_valley_test(s, archive.elite(i), ELITE_TEST_POINTS, e).same_niche
 
 
 def run_core_search(c: Cluster, pop_size: int, archive: "ElitistArchive",
@@ -259,10 +242,7 @@ def run_core_search(c: Cluster, pop_size: int, archive: "ElitistArchive",
     while True:
         if state.generation >= GENERATION_CEILING:
             return state.best, TerminationReason.MAXED_OUT, state.generation
-        try:
-            a_g = generation_step(state, e, rng)
-        except BudgetExhausted:
-            return state.best, TerminationReason.BUDGET_EXHAUSTED, state.generation
+        a_g = generation_step(state, e, rng)
         if tracker is not None:
             tracker.record(a_g)
 

@@ -208,12 +208,11 @@ def cmd_score(report_path: str, problem_id: int,
         print(f"error: report has a negative evaluation count "
               f"({report.evaluations})", file=sys.stderr)
         return 1
-    if report.solutions and len(report.solutions[0].x) != spec.dimension:
-        print(f"error: report solutions have {len(report.solutions[0].x)} "
-              f"coordinates; problem {problem_id} has dimension "
-              f"{spec.dimension}", file=sys.stderr)
+    try:
+        sc = score(report.solutions, spec, epsilon, report.evaluations)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
-    sc = score(report.solutions, spec, epsilon, report.evaluations)
     print(f"peak_ratio = {sc.peak_ratio}", file=out)
     print(f"static_f1 = {sc.static_f1}", file=out)
     print(f"f1_harmonic = {sc.f1_harmonic}", file=out)

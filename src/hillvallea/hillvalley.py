@@ -9,19 +9,16 @@ Clustering works on index arrays over the fitness-ranked population (an
 ``(x, f)`` pair, see ``problem``). It evaluates exactly the points the
 sequential algorithm (visit the solutions in rank order, test, assign,
 append) evaluates, and returns the same clusters, numbered alike, with
-the same members in the same order.
+the same members in the same order. It evaluates them in another order,
+which never shows: a budget that runs out during clustering ends the run
+(see ``orchestrator.run_hillvallea``).
 
 First tests in rounds. A solution's first test, against its nearest
 better neighbor, has endpoints, point count and threshold fixed before
-any test runs, so the first tests of a block of solutions run together:
-round k evaluates test point k of every pair still undecided, in one
-objective call, and a pair that meets a violator is never evaluated
-again (the sequential early stop). A solution takes at most 1 + d tests
-of at most MAX_TEST_POINTS points, and a block holds
-``max(1, remaining // ((1 + d) * MAX_TEST_POINTS))`` solutions, so even
-its worst case fits the remaining budget. Near the end of the budget a
-block is one solution, which is the sequential algorithm, so the budget
-runs out at the same evaluation as it would there.
+any test runs, so the first tests of all solutions run together: round
+k evaluates test point k of every pair still undecided, in one objective
+call, and a pair that meets a violator is never evaluated again (the
+sequential early stop).
 
 Assignment by pointer jumping. A solution whose first test passes joins
 the cluster of its nearest better neighbor, which is ranked before it.
@@ -31,8 +28,8 @@ solution pointing at the first self-pointing solution down its chain,
 whose cluster it shares. Only those roots run fallback tests against
 further neighbors; the cluster of any neighbor is that of its root.
 
-Fallback tests in rounds. The roots of a block are labelled together.
-Each undecided root walks its neighbor list in rank order up to its next
+Fallback tests in rounds. The roots are labelled together. Each
+undecided root walks its neighbor list in rank order up to its next
 test, skipping neighbors in clusters it has tried. When the root of its
 next neighbor is itself undecided, the walk files itself under that root
 and sleeps; it is woken, in the same round, when that root's walk ends.
@@ -43,12 +40,10 @@ depends only on roots ranked before it, so a waking root always runs
 before its waiters, the lowest undecided root never waits, and every
 round makes progress: these are the rounds that resuming every walk in
 every round would make, with the same tests in the same order, but a
-waiting walk is resumed once instead of once per round. A block of two
-or more solutions cannot run out of budget (see above), and a block of
-one runs its tests one after the other, which is the sequential
-algorithm. A root that no test accepts founds a cluster
-labelled by its own rank, so cluster labels sort in the rank order of
-their founders, which is how the sequential algorithm numbers them.
+waiting walk is resumed once instead of once per round. A root that no
+test accepts founds a cluster labelled by its own rank, so cluster labels
+sort in the rank order of their founders, which is how the sequential
+algorithm numbers them.
 
 Member order. The sequential algorithm appends a solution to its cluster
 followed by its accepted test points, solutions in rank order. Each root's tests
@@ -81,7 +76,7 @@ from typing import Iterator
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .problem import BudgetedEvaluator, BudgetExhausted, Solution, best_of
+from .problem import BudgetedEvaluator, Solution, best_of
 
 # Upper bound on test points per pair; the count grows with the distance
 # between the endpoints relative to the expected nearest-neighbor spacing.
@@ -254,9 +249,8 @@ def cluster_population(pop: tuple[np.ndarray, np.ndarray],
     Solutions are visited in ascending-fitness order; each is tested
     against its nearest better neighbor and, on failure, against up to d
     further nearest better neighbors in clusters not yet tried. Accepted
-    test solutions travel with the solution into its final cluster. On
-    budget exhaustion the clusters built so far are returned. Tests and
-    assignment run as the module docstring describes.
+    test solutions travel with the solution into its final cluster. Tests
+    and assignment run as the module docstring describes.
     """
     pop_x, pop_f = pop
     n = len(pop_f)
@@ -302,19 +296,19 @@ def cluster_population(pop: tuple[np.ndarray, np.ndarray],
     for i in missing[missing > 0]:
         nearest[i] = next(better_neighbors(i))
 
-    root = np.arange(n)  # root[i]: whose cluster i shares (final below start)
+    root = np.arange(n)  # root[i]: whose cluster i shares
     label = np.zeros(n, dtype=int)  # cluster of each root: its founder's rank
     waiters: dict[int, list[int]] = {}  # undecided root -> walks waiting on it
     tests = []  # (rank, x, f) of accepted test points, in evaluation order
 
-    def run_tests(a: np.ndarray, b: np.ndarray, block_tests: list) -> np.ndarray:
+    def run_tests(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Test rank ``a[p]`` against rank ``b[p]`` for every p at once;
         file the accepted test points under ``a`` and return which passed."""
         n_test = _test_point_counts(xs[a], xs[b], edge)
         n_test[(xs[a] == xs[b]).all(axis=1)] = 0
         owner, tx, tf, ok = hill_valley_tests(
             xs[a], xs[b], np.maximum(fs[a], fs[b]), n_test, e)
-        block_tests.append((a[owner[ok]], tx[ok], tf[ok]))
+        tests.append((a[owner[ok]], tx[ok], tf[ok]))
         passed = np.ones(len(a), dtype=bool)
         passed[owner[~ok]] = False
         return passed
@@ -346,8 +340,8 @@ def cluster_population(pop: tuple[np.ndarray, np.ndarray],
                 return
         label[i] = i
 
-    def label_roots(roots: np.ndarray, block_tests: list) -> None:
-        """Label the roots of a block in lockstep rounds of fallback tests.
+    def label_roots(roots: np.ndarray) -> None:
+        """Label the roots in lockstep rounds of fallback tests.
 
         A round resumes the walks that are ready, lowest rank first: those
         sent a test result and those woken when the root they wait on is
@@ -374,33 +368,22 @@ def cluster_population(pop: tuple[np.ndarray, np.ndarray],
             if tested:
                 a, b = np.array(tested).T
                 ready = a.tolist()
-                sent = dict(zip(ready, run_tests(a, b, block_tests).tolist()))
+                sent = dict(zip(ready, run_tests(a, b).tolist()))
 
-    worst_case = max_attempts * MAX_TEST_POINTS  # evaluations per solution
-    start = 1
-    try:
-        while start < n:
-            stop = min(n, start + max(1, e.remaining // worst_case))
-            ranks = np.arange(start, stop)
-            near = nearest[start:stop]
-            block_tests = []
-            passed = run_tests(ranks, near, block_tests)
-            root[start:stop] = np.where(passed, near, ranks)
-            while True:
-                jumped = root[root[start:stop]]
-                if np.array_equal(jumped, root[start:stop]):
-                    break
-                root[start:stop] = jumped
-            label_roots(ranks[~passed], block_tests)
-            label[start:stop] = label[root[start:stop]]
-            tests.extend(block_tests)
-            start = stop
-    except BudgetExhausted:
-        pass  # solutions from ``start`` on stay unassigned
+    ranks = np.arange(1, n)
+    passed = run_tests(ranks, nearest[1:])
+    root[1:] = np.where(passed, nearest[1:], ranks)
+    while True:
+        jumped = root[root]
+        if np.array_equal(jumped, root):
+            break
+        root[:] = jumped
+    label_roots(ranks[~passed])
+    label[:] = label[root]
 
-    rank = np.concatenate([np.arange(start)] + [t[0] for t in tests])
+    rank = np.concatenate([np.arange(n)] + [t[0] for t in tests])
     member = np.argsort(label[rank] * n + rank, kind="stable")
-    mx = np.concatenate([xs[:start]] + [t[1] for t in tests])[member]
-    mf = np.concatenate([fs[:start]] + [t[2] for t in tests])[member]
+    mx = np.concatenate([xs] + [t[1] for t in tests])[member]
+    mf = np.concatenate([fs] + [t[2] for t in tests])[member]
     bounds = np.flatnonzero(np.diff(label[rank][member])) + 1
     return [Cluster(x, f) for x, f in zip(np.split(mx, bounds), np.split(mf, bounds))]

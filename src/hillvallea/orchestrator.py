@@ -9,11 +9,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .amalgam import (ELITE_TEST_POINTS, TerminationReason, check_reexploration,
-                      run_core_search)
+from .amalgam import ELITE_TEST_POINTS, check_reexploration, run_core_search
 from .hillvalley import cluster_population, hill_valley_test
 from .problem import (BudgetedEvaluator, BudgetExhausted, ProblemSpec,
-                      Solution, best_of, uniform_init)
+                      Solution, uniform_init)
 
 INITIAL_POP_PER_DIM = 2 ** 6
 RESTART_GROWTH = 2
@@ -84,11 +83,7 @@ def archive_insert(a: ElitistArchive, s: Solution, gens: int,
         a.add(s, gens)
         return "appended"
     idx = a.nearest_index(s.x)
-    try:
-        outcome = hill_valley_test(s, a.elite(idx), ELITE_TEST_POINTS, e)
-    except BudgetExhausted:
-        return "discarded"
-    if not outcome.same_niche:
+    if not hill_valley_test(s, a.elite(idx), ELITE_TEST_POINTS, e).same_niche:
         a.add(s, gens)
         return "appended"
     if s.f < a.f[idx]:
@@ -152,7 +147,12 @@ def _precheck_skip(cluster_best: Solution, archive: ElitistArchive,
 
 
 def run_hillvallea(spec: ProblemSpec, seed: int) -> RunReport:
-    """Run the restart loop on one problem until the budget is spent."""
+    """Run the restart loop on one problem until the budget is spent.
+
+    The run ends at the evaluation that does not fit the budget, wherever
+    it is made, and reports the archive as it stood then; a run that ends
+    before its first archive insert reports the best point it evaluated.
+    """
     rng = np.random.default_rng(seed)
     e = BudgetedEvaluator(spec)
     archive = ElitistArchive()
@@ -162,14 +162,7 @@ def run_hillvallea(spec: ProblemSpec, seed: int) -> RunReport:
     try:
         while True:
             size = initial_population_size(spec.dimension, round_index)
-            try:
-                pop = uniform_init(e, size, rng)
-            except BudgetExhausted as exc:
-                # A degenerate budget still yields a report from the
-                # partial sample.
-                if len(exc.partial[1]) and not len(archive):
-                    archive_insert(archive, best_of(*exc.partial), 0, e)
-                raise
+            pop = uniform_init(e, size, rng)
             clusters = cluster_population(pop, e)
             clusters.sort(key=lambda c: c.f.min())
             # Initial Gaussian spread never below half the expected
@@ -179,14 +172,13 @@ def run_hillvallea(spec: ProblemSpec, seed: int) -> RunReport:
                 if _precheck_skip(cluster.best_solution, archive, e):
                     continue
                 pop_size = max(len(cluster), min_pop)
-                best, reason, gens = run_core_search(
+                best, _, gens = run_core_search(
                     cluster, pop_size, archive, e, rng, min_spread=min_spread)
                 archive_insert(archive, best, gens, e)
-                if reason is TerminationReason.BUDGET_EXHAUSTED:
-                    raise BudgetExhausted()
             round_index += 1
     except BudgetExhausted:
-        pass
+        if not len(archive):
+            archive.add(e.best, 0)
 
     reported = postprocess_archive(archive)
     published = [Solution(s.x, float(spec.to_published(s.f))) for s in reported]

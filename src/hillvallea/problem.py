@@ -14,24 +14,15 @@ elite, a reported optimum).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 
 class BudgetExhausted(Exception):
-    """Raised when an evaluation would exceed the budget.
-
-    Recoverable: callers finalize and report. ``partial`` is the
-    ``(x, f)`` pair of the rows a batched call evaluated before the budget
-    ran out (possibly none), or None when no batch was under way.
-    """
-
-    def __init__(self, message: str = "evaluation budget exhausted",
-                 partial: tuple[np.ndarray, np.ndarray] | None = None):
-        super().__init__(message)
-        self.partial = partial
+    """Raised by the evaluation that does not fit the budget; it ends the
+    run (see ``orchestrator.run_hillvallea``)."""
 
 
 class DimensionMismatch(ValueError):
@@ -123,10 +114,14 @@ def best_of(x: np.ndarray, f: np.ndarray) -> Solution:
 
 @dataclass
 class BudgetedEvaluator:
-    """Counts every fitness evaluation and enforces the budget."""
+    """Counts every fitness evaluation and enforces the budget.
+
+    ``best`` is the first fittest row evaluated so far (None before any).
+    """
 
     spec: ProblemSpec
     used: int = 0
+    best: Solution | None = field(default=None, init=False)
 
     @property
     def remaining(self) -> int:
@@ -147,9 +142,9 @@ class BudgetedEvaluator:
 
         Returns the population pair: a fresh copy of the rows and their
         internal fitness. If the budget runs out mid-batch, the rows that
-        still fit are evaluated and their pair is attached to the raised
-        ``BudgetExhausted``. Objective output of a shape other than
-        (rows,) raises ``ValueError``; non-finite values become +inf.
+        still fit are evaluated, so the whole budget is spent, and then
+        ``BudgetExhausted`` is raised. Objective output of a shape other
+        than (rows,) raises ``ValueError``; non-finite values become +inf.
         """
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.spec.dimension:
@@ -169,10 +164,12 @@ class BudgetedEvaluator:
             if not math.isfinite(np.add.reduce(values)):
                 values[~np.isfinite(values)] = np.inf  # worst
             self.used += fit
-        pop = (xs[:fit].copy(), values)
+            i = values.argmin()
+            if self.best is None or values[i] < self.best.f:
+                self.best = Solution(xs[i].copy(), float(values[i]))
         if fit < n:
-            raise BudgetExhausted(partial=pop)
-        return pop
+            raise BudgetExhausted("evaluation budget exhausted")
+        return xs.copy(), values
 
 
 def uniform_init(e: BudgetedEvaluator, n: int,

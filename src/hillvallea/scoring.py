@@ -42,7 +42,15 @@ class Summary:
 def score(reported: list[Solution], spec: ProblemSpec,
           epsilon: float = DEFAULT_EPSILON,
           evaluations_used: int = 0) -> Score:
-    """Score published-orientation solutions against the known optima."""
+    """Score published-orientation solutions against the known optima.
+
+    Raises ``ValueError`` when a solution's coordinate count is not the
+    problem's dimension.
+    """
+    for sol in reported:
+        if len(sol.x) != spec.dimension:
+            raise ValueError(f"report solutions have {len(sol.x)} coordinates; "
+                             f"problem {spec.id} has dimension {spec.dimension}")
     n_opt = spec.num_global_optima
     if not reported:
         return Score(0, 0.0, 0.0, 0.0, evaluations_used)

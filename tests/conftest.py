@@ -56,9 +56,8 @@ def fallback_spans():
     """Record ``(used before, used after)`` of every fallback test (a
     solution's second and later tests) the sequential reference clustering
     runs. The batched clustering evaluates the same points in another
-    order, but a budget that ends inside one of these spans ends inside
-    the same fallback test there too, since near the end of the budget it
-    runs one solution at a time."""
+    order, so a budget that ends inside one of these spans ends inside its
+    clustering too."""
     spans = []
     last = []
     real = reference_clustering.hill_valley_test

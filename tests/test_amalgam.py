@@ -255,7 +255,7 @@ class TestGenerationStep:
         with pytest.raises(BudgetExhausted):
             generation_step(s, e, np.random.default_rng(0))
         assert e.used == spec.budget
-        assert s.best.f <= 9.0  # partial offspring were still scanned
+        assert e.best.f <= s.best.f == 9.0  # the evaluator saw the offspring that fit
 
 
 @pytest.mark.parametrize("check",
@@ -301,7 +301,8 @@ class TestReexplorationCheck:
         e = BudgetedEvaluator(spec)
         s, archive = _sol(e, 0.9), _archive(_sol(e, 1.0))
         assert in_test < ELITE_TEST_POINTS
-        assert not check(s, archive, e)
+        with pytest.raises(BudgetExhausted):
+            check(s, archive, e)
         assert e.used == spec.budget
 
 
@@ -330,19 +331,18 @@ class TestRunCoreSearch:
         spec = synthetic_spec(sphere, [-10.0], [10.0], [[0.0]], budget=3)
         e = BudgetedEvaluator(spec)
         c = _cluster(e, [3.0, 4.0, 5.0])  # consumes the whole budget
-        best, reason, gens = run_core_search(
-            c, 30, ElitistArchive(), e, np.random.default_rng(7))
-        assert reason == TerminationReason.BUDGET_EXHAUSTED
-        assert best.f == pytest.approx(9.0)
+        with pytest.raises(BudgetExhausted):
+            run_core_search(c, 30, ElitistArchive(), e, np.random.default_rng(7))
+        assert e.used == spec.budget
+        assert e.best.x.tolist() == [3.0] and e.best.f == 9.0
 
     @pytest.mark.parametrize("top_up", [1, 4, 26])
     def test_budget_ending_inside_the_top_up(self, top_up):
         spec = synthetic_spec(sphere, [-10.0], [10.0], [[0.0]], budget=3 + top_up)
         e = BudgetedEvaluator(spec)
         c = _cluster(e, [3.0, 4.0, 5.0])  # leaves ``top_up`` of 27 rows
-        best, reason, gens = run_core_search(
-            c, 30, ElitistArchive(), e, np.random.default_rng(9))
-        assert (reason, gens) == (TerminationReason.BUDGET_EXHAUSTED, 0)
+        with pytest.raises(BudgetExhausted):
+            run_core_search(c, 30, ElitistArchive(), e, np.random.default_rng(9))
         assert e.used == spec.budget
         # The same top-up with budget to spare: the first ``top_up`` of its
         # rows are the ones evaluated above.
@@ -350,7 +350,7 @@ class TestRunCoreSearch:
                                  np.random.default_rng(9))
         x, f = (v[:3 + top_up] for v in full.population)
         i = int(np.argmin(f))
-        assert best.x.tolist() == x[i].tolist() and best.f == f[i]
+        assert e.best.x.tolist() == x[i].tolist() and e.best.f == f[i]
 
     def test_reexploration_is_checked_every_period(self, double_well_eval,
                                                    monkeypatch):

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from hillvallea.benchmarks import (ALL_IDS, AVAILABLE_IDS, UnavailableProblem,
-                                   catalog, get_problem, shubert)
+                                   catalog, get_problem, modified_rastrigin,
+                                   shubert, vincent)
 
 # dimension, number of global optima, budget, niche radius
 EXPECTED = {
@@ -179,6 +180,29 @@ def test_shubert_is_the_sum_and_product_expression(d, n, grid, seed):
     want = -np.prod(np.sum(j * np.cos((j + 1) * X[..., None] + j), axis=-1),
                     axis=-1)
     assert shubert(X).tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.integers(1, 3), n=st.integers(1, 50), grid=st.booleans(),
+       seed=st.integers(0, 2 ** 16))
+def test_vincent_is_the_mean_expression(d, n, grid, seed):
+    # bit for bit the np.mean form of the Vincent function
+    rng = np.random.default_rng(seed)
+    X = (rng.integers(1, 41, (n, d)) / 4.0 if grid
+         else rng.uniform(0.25, 10.0, (n, d)))
+    want = np.mean(np.sin(10.0 * np.log(X)), axis=-1)
+    assert vincent(X).tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 50), grid=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_modified_rastrigin_is_the_sum_expression(n, grid, seed):
+    # bit for bit the np.sum form of the modified Rastrigin function
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 5, (n, 2)) / 4.0 if grid else rng.uniform(0.0, 1.0, (n, 2))
+    k = np.array([3.0, 4.0])
+    want = -np.sum(10.0 + 9.0 * np.cos(2.0 * np.pi * k * X), axis=-1)
+    assert modified_rastrigin(X).tobytes() == want.tobytes()
 
 
 def _count_shubert_1d_positions(kind):

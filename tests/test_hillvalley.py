@@ -17,7 +17,7 @@ from hillvallea.hillvalley import hill_valley_test
 from hillvallea.problem import BudgetedEvaluator, BudgetExhausted, Solution
 
 import reference_clustering as ref
-from conftest import double_well, fallback_spans, sphere, synthetic_spec
+from conftest import double_well, sphere, synthetic_spec
 
 
 def _sol(e, x):
@@ -177,14 +177,22 @@ class TestClusterPopulation:
             assert np.array_equal(c.best_solution.x, c.x[first_min])
 
     def test_budget_exhaustion_returns_partial(self, double_well_1d):
-        from dataclasses import replace
-        spec = replace(double_well_1d, budget=44)
+        rows = []
+
+        def recorded(X):
+            rows.extend(X.tolist())
+            return double_well(X)
+
+        spec = replace(double_well_1d, budget=44, objective=recorded)
         e = BudgetedEvaluator(spec)
         rng = np.random.default_rng(2)
         pop = _pop(e, rng.uniform(-2, 2, 40))
-        clusters = cluster_population(pop, e)  # only 4 test evals left
-        assert e.used <= spec.budget
-        assert len(clusters) >= 1
+        with pytest.raises(BudgetExhausted):
+            cluster_population(pop, e)  # only 4 test evals left
+        assert e.used == len(rows) == spec.budget
+        f = double_well(np.array(rows))
+        i = int(np.argmin(f))
+        assert e.best.x.tolist() == rows[i] and e.best.f == f[i]
 
 
 def test_test_point_count_scales_with_distance():
@@ -252,47 +260,19 @@ class TestBatchedClusteringEquivalence:
         xs = (rng.integers(-4, 5, (n, d)) / 2.0 if grid
               else rng.uniform(-2.0, 2.0, (n, d)))
         pop = BudgetedEvaluator(spec).evaluate_batch(xs)
-        # small extras run out of budget part way through clustering
-        spec = replace(spec, budget=n + extra)
-        e_new, e_ref = BudgetedEvaluator(spec, used=n), BudgetedEvaluator(spec, used=n)
-        got = cluster_population(pop, e_new)
+        e_ref = BudgetedEvaluator(spec, used=n)
         want = ref.cluster_population(pop, e_ref)
-        _assert_same_clusters(got, want)
-        assert e_new.used == e_ref.used <= spec.budget
-
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_budget_ending_inside_a_fallback_test(self, d):
-        # On a full budget, record where the reference's fallback tests
-        # start; then rerun with budgets that end after the first point of
-        # such a test, and check that the batched clustering runs out
-        # inside that same test.
-        n = 60 * d
-        spec = _spec(_many_wells, d)
-        pop = BudgetedEvaluator(spec).evaluate_batch(
-            np.random.default_rng(d).uniform(-2.0, 2.0, (n, d)))
-        with fallback_spans() as spans:
-            ref.cluster_population(pop, BudgetedEvaluator(spec, used=n))
-        cuts = [before + 1 for before, after in spans if after - before >= 2]
-        assert len(cuts) >= 3
-        for budget in (cuts[0], cuts[len(cuts) // 2], cuts[-1]):
-            short = replace(spec, budget=budget)
-            e_new = BudgetedEvaluator(short, used=n)
-            e_ref = BudgetedEvaluator(short, used=n)
-            ran_out_in = []
-            real = hillvalley.hill_valley_tests
-
-            def spy(starts, ends, worst, n_test, e):
-                try:
-                    return real(starts, ends, worst, n_test, e)
-                except BudgetExhausted:
-                    ran_out_in.append(e.used)
-                    raise
-
-            with mock.patch.object(hillvalley, "hill_valley_tests", spy):
-                got = cluster_population(pop, e_new)
-            assert ran_out_in == [budget]
-            _assert_same_clusters(got, ref.cluster_population(pop, e_ref))
-            assert e_new.used == e_ref.used == budget
+        # small extras run out of budget part way through clustering, which
+        # then raises with the whole budget spent
+        spec = replace(spec, budget=n + extra)
+        e_new = BudgetedEvaluator(spec, used=n)
+        if e_ref.used > spec.budget:
+            with pytest.raises(BudgetExhausted):
+                cluster_population(pop, e_new)
+            assert e_new.used == spec.budget
+        else:
+            _assert_same_clusters(cluster_population(pop, e_new), want)
+            assert e_new.used == e_ref.used
 
     @pytest.mark.parametrize("d, n_rounds", [(1, 5), (2, 26), (3, 58)])
     def test_each_round_tests_in_rank_order(self, d, n_rounds):

@@ -248,9 +248,9 @@ def _phase_spans(spec, seed):
     """Evaluation spans ``(used before, used after)`` of each phase of a run.
 
     Clustering runs as the sequential reference, which evaluates the same
-    points; see ``conftest.fallback_spans`` for why its fallback spans
-    also locate the batched clustering's fallback tests. The archive spans
-    are the pre-checks and the archive inserts.
+    points in another order, so a span inside it lies inside the batched
+    clustering's span too (see ``conftest.fallback_spans``). The archive
+    spans are the pre-checks and the archive inserts.
     """
     spans = {"clustering": [], "archive": []}
 
@@ -331,10 +331,9 @@ def _precheck_spans(spec, seed):
 
 
 class TestPrecheckBudget:
-    """A budget that runs out inside a pre-check's hill-valley test: the
-    pre-check answers False, the core search stops at once and the archive
-    insert discards its best, so the run ends with the archive it held when
-    that test began and has spent the whole budget."""
+    """A budget that runs out inside a pre-check's hill-valley test ends the
+    run there: it reports the archive it held when that test began and has
+    spent the whole budget."""
 
     @settings(max_examples=30, deadline=None)
     @given(d=st.integers(1, 2), fn=st.sampled_from([double_well, sphere, _wells]),
@@ -354,3 +353,63 @@ class TestPrecheckBudget:
             [s.x.tobytes() for s in reported]
         assert [s.f for s in report.solutions] == \
             [s.f for s in at_start.solutions] == [s.f for s in reported]
+
+
+def _recorded_run(spec, seed):
+    """Run ``spec`` and return the report, the evaluated rows in order and
+    their fitness."""
+    rows, values = [], []
+
+    def recorded(X):
+        rows.append(X.copy())
+        values.append(spec.objective(X))
+        return values[-1]
+
+    report = run_hillvallea(replace(spec, objective=recorded), seed)
+    return report, np.concatenate(rows), np.concatenate(values)
+
+
+class TestBudgetCut:
+    """A run ends at the evaluation that exhausts its budget, so a shorter
+    budget cuts the same seed's longer run short, and what it reports is
+    the archive of the last insert that finished in time."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(d=st.integers(1, 2), fn=st.sampled_from([double_well, sphere, _wells]),
+           seed=st.integers(0, 2 ** 16), cut=st.integers(1, 3999))
+    def test_shorter_budget_evaluates_a_prefix(self, d, fn, seed, cut):
+        spec = synthetic_spec(fn, [-2.0] * d, [2.0] * d, [[0.0] * d],
+                              budget=4000, radius=0.2)
+        _, rows, _ = _recorded_run(spec, seed)
+        _, short, _ = _recorded_run(replace(spec, budget=cut), seed)
+        assert len(rows) == spec.budget
+        assert short.shape == (cut, d)
+        assert short.tobytes() == rows[:cut].tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(d=st.integers(1, 2), fn=st.sampled_from([double_well, sphere, _wells]),
+           seed=st.integers(0, 2 ** 16), cut=st.integers(1, 3999))
+    def test_report_is_the_last_insert_within_the_budget(self, d, fn, seed, cut):
+        spec = synthetic_spec(fn, [-2.0] * d, [2.0] * d, [[0.0] * d],
+                              budget=4000, radius=0.2)
+        inserts = []  # (used after the insert, the archive it left)
+        real = orchestrator.archive_insert
+
+        def spy(a, s, gens, e):
+            outcome = real(a, s, gens, e)
+            inserts.append((e.used, postprocess_archive(a)))
+            return outcome
+
+        with mock.patch.object(orchestrator, "archive_insert", spy):
+            _, rows, f = _recorded_run(spec, seed)
+        report = run_hillvallea(replace(spec, budget=cut), seed)
+        finished = [kept for used, kept in inserts if used <= cut]
+        if finished:
+            want = finished[-1]
+        else:
+            i = int(np.argmin(f[:cut]))
+            want = [Solution(rows[i], f[i])]
+        assert report.evaluations == cut
+        assert [s.x.tobytes() for s in report.solutions] == \
+            [s.x.tobytes() for s in want]
+        assert [s.f for s in report.solutions] == [s.f for s in want]

@@ -45,11 +45,12 @@ def test_dimension_mismatch():
 def test_batch_partial_on_exhaustion():
     spec = synthetic_spec(sphere, [-1.0], [1.0], [[0.0]], budget=3)
     e = BudgetedEvaluator(spec)
-    with pytest.raises(BudgetExhausted) as exc_info:
-        e.evaluate_batch(np.zeros((5, 1)))
-    x, f = exc_info.value.partial
-    assert x.shape == (3, 1) and len(f) == 3
+    xs = np.array([[0.5], [-0.25], [0.25], [0.0], [0.0]])
+    with pytest.raises(BudgetExhausted):
+        e.evaluate_batch(xs)
     assert e.used == 3
+    # the rows that fit were evaluated: the first fittest of them is kept
+    assert e.best.x.tolist() == [-0.25] and e.best.f == 0.0625
 
 
 def test_uniform_init_counts_and_bounds():

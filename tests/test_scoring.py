@@ -26,6 +26,16 @@ class TestScore:
         assert s.f1_harmonic == 1.0
         assert s.evaluations_used == 123
 
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_wrong_coordinate_count_rejected(self, width):
+        # on 2-D problem 7 a 1-coordinate point used to be broadcast
+        # against the optima and claim a peak
+        spec = get_problem(7)
+        reported = [Solution(np.full(width, 1.0 / 3.0), spec.optimum_fitness)]
+        with pytest.raises(ValueError, match=f"{width} coordinates; problem 7 "
+                                              f"has dimension 2"):
+            score(reported, spec)
+
     def test_empty_report(self):
         s = score([], SPEC2)
         assert s == Score(0, 0.0, 0.0, 0.0, 0)
