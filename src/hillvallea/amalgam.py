@@ -57,6 +57,7 @@ class CoreSearchState:
     population: tuple[np.ndarray, np.ndarray]  # (x, f)
     generation: int
     best: Solution
+    stddev_floor: np.ndarray  # the least spread per dimension, fixed per search
 
 
 @dataclass
@@ -132,10 +133,6 @@ def check_convergence_termination(t: ConvergenceTracker, g: int,
     return g + tto > GEN_CAP_MULTIPLIER * gen_cap
 
 
-def _stddev_floor(spec) -> np.ndarray:
-    return STDDEV_FLOOR_SCALE * (spec.upper - spec.lower)
-
-
 def init_from_cluster(c: Cluster, pop_size: int, e: BudgetedEvaluator,
                       rng: np.random.Generator,
                       min_spread: np.ndarray | None = None) -> CoreSearchState:
@@ -152,7 +149,8 @@ def init_from_cluster(c: Cluster, pop_size: int, e: BudgetedEvaluator,
         stddev = c.x.std(axis=0, ddof=1)
     else:
         stddev = np.zeros(e.spec.dimension)
-    stddev = np.maximum(stddev, _stddev_floor(e.spec))
+    floor = STDDEV_FLOOR_SCALE * (e.spec.upper - e.spec.lower)
+    stddev = np.maximum(stddev, floor)
     if min_spread is not None:
         stddev = np.maximum(stddev, min_spread)
     pop_x, pop_f = c.x, c.f
@@ -164,7 +162,7 @@ def init_from_cluster(c: Cluster, pop_size: int, e: BudgetedEvaluator,
         pop_x, pop_f = np.vstack([pop_x, x]), np.concatenate([pop_f, f])
     return CoreSearchState(mean=mean, stddev=stddev, multiplier=1.0,
                            population=(pop_x, pop_f), generation=0,
-                           best=best_of(pop_x, pop_f))
+                           best=best_of(pop_x, pop_f), stddev_floor=floor)
 
 
 def generation_step(s: CoreSearchState, e: BudgetedEvaluator,
@@ -187,7 +185,7 @@ def generation_step(s: CoreSearchState, e: BudgetedEvaluator,
     old_mean = s.mean
     s.mean = np.add.reduce(sel_x, axis=0) / n_sel
     dev = sel_x - s.mean
-    s.stddev = np.maximum(np.sqrt(np.add.reduce(dev * dev, axis=0) / n_sel), _stddev_floor(spec))
+    s.stddev = np.maximum(np.sqrt(np.add.reduce(dev * dev, axis=0) / n_sel), s.stddev_floor)
     mean_shift = s.mean - old_mean
 
     n_off = max(pop_size - 1, 1)

@@ -129,6 +129,12 @@ def cmd_run(config: CampaignConfig, out=None) -> int:
         except (UnavailableProblem, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
+    csv_path = Path(config.out_path)
+    if csv_path.is_dir() or not csv_path.parent.is_dir():
+        why = ("it is a directory" if csv_path.is_dir()
+               else f"{csv_path.parent} is not a directory")
+        print(f"error: cannot write {csv_path}: {why}", file=sys.stderr)
+        return 1
     tasks = [(pid, config.base_seed + i, config.epsilon)
              for pid in config.problem_ids for i in range(config.runs)]
     reports = {}

@@ -30,20 +30,24 @@ further neighbors; the cluster of any neighbor is that of its root.
 
 Fallback tests in rounds. The roots are labelled together. Each
 undecided root walks its neighbor list in rank order up to its next
-test, skipping neighbors in clusters it has tried. When the root of its
-next neighbor is itself undecided, the walk files itself under that root
-and sleeps; it is woken, in the same round, when that root's walk ends.
-A round resumes the walks sent a test result and the walks woken during
-the round, lowest rank first. All tests scheduled in a round then run in
-one ``hill_valley_tests`` call, each pair with its own early stop. A root
-depends only on roots ranked before it, so a waking root always runs
-before its waiters, the lowest undecided root never waits, and every
-round makes progress: these are the rounds that resuming every walk in
-every round would make, with the same tests in the same order, but a
-waiting walk is resumed once instead of once per round. A root that no
-test accepts founds a cluster labelled by its own rank, so cluster labels
-sort in the rank order of their founders, which is how the sequential
-algorithm numbers them.
+test, skipping neighbors in clusters it has tried. The list comes a
+block of indices at a time, and the walk finds its next event in a block
+with one array pass over the neighbors' cluster labels: the first
+neighbor whose root is undecided or whose cluster it has not tried. The
+neighbors before it are the ones the walk skips. When the root of that
+neighbor is undecided, the walk files itself under that root and sleeps;
+it is woken, in the same round, when that root's walk ends, and reads
+the labels again from the same neighbor. A round resumes the walks sent
+a test result and the walks woken during the round, lowest rank first.
+All tests scheduled in a round then run in one ``hill_valley_tests``
+call, each pair with its own early stop. A root depends only on roots
+ranked before it, so a waking root always runs before its waiters, the
+lowest undecided root never waits, and every round makes progress: these
+are the rounds that resuming every walk in every round would make, with
+the same tests in the same order, but a waiting walk is resumed once
+instead of once per round. A root that no test accepts founds a cluster
+labelled by its own rank, so cluster labels sort in the rank order of
+their founders, which is how the sequential algorithm numbers them.
 
 Member order. The sequential algorithm appends a solution to its cluster
 followed by its accepted test points, solutions in rank order. Each root's tests
@@ -52,17 +56,34 @@ members by (cluster, rank), with the solutions ahead of the test points
 and the test points in evaluation order, gives the same member order.
 
 Neighbor order. The neighbors of rank i are the solutions ranked before
-i in its KD-tree shortlist (its 8 * (1 + d) nearest), in shortlist order,
-then, if the walk gets past them, the other better solutions by distance.
-That order is ``argsort(kind="stable")`` of the squared distances
-``((coords[:i] - coords[i]) ** 2).sum(axis=1)``, produced a chunk at a
-time by ``nearest_first``, so a walk that stops early costs O(i) instead
-of a full sort. The squared distances are those bits, computed by
-``squared_distances``: for d < 8 numpy adds a row's squares left to
-right, so they are added a column at a time over a column-major copy of
-the coordinates, made once per clustering; from d = 8 on numpy sums
-pairwise, and the rows are reduced as numpy reduces them. A root's walk
-is dropped as soon as the root is decided.
+i in its KD-tree shortlist (row i of ``query(coords, k)`` with
+k = 8 * (1 + d)), in shortlist order, then, if the walk gets past them,
+the other better solutions by distance.
+
+Only two readers need a shortlist: the first test needs each solution's
+nearest better neighbor (the first entry ``j < i`` of its row), and the
+fallback walks need the rows of the roots. So every point is first
+queried with only ``NARROW_K`` neighbors, and the first ``j < i`` of that
+narrow row is trusted when its distance is below the row's last one and
+no other entry of the row has its distance. Then every point nearer than
+``j`` is in the narrow row, ahead of ``j``, and is not better, and no
+other point lies at ``j``'s distance, so ``j`` is also the first better
+entry of the full row, however the tree orders ties. (The narrow row is
+no prefix of the full one: cKDTree orders tied neighbors differently for
+different k, so nothing else is read from it.) The other points, and the
+roots once the first tests have picked them, get their full rows from
+one batched ``query(coords[idx], k)``, which gives each point the row
+the whole-population query gives it.
+
+Past the shortlist, the order is ``argsort(kind="stable")`` of the
+squared distances ``((coords[:i] - coords[i]) ** 2).sum(axis=1)``,
+produced a chunk at a time by ``nearest_first``, so a walk that stops
+early costs O(i) instead of a full sort. The squared distances are those
+bits, computed by ``squared_distances``: for d < 8 numpy adds a row's
+squares left to right, so they are added a column at a time over a
+column-major copy of the coordinates, made once per clustering; from
+d = 8 on numpy sums pairwise, and the rows are reduced as numpy reduces
+them. A root's walk is dropped as soon as the root is decided.
 """
 
 from __future__ import annotations
@@ -84,6 +105,12 @@ MAX_TEST_POINTS = 5
 
 # Extra nearest-better attempts (beyond the first) per dimension.
 EXTRA_ATTEMPTS_PER_DIM = 1
+
+# Neighbors per point in the first KD-tree query, which only finds the
+# nearest better neighbors it can vouch for (see "Neighbor order" above);
+# 6 or 7 ran fastest on the CEC2013 samples of d = 1 to 3, where 6-8% of
+# the points then needed their full shortlist.
+NARROW_K = 6
 
 
 @dataclass
@@ -180,9 +207,11 @@ def expected_edge_length(spec, pop_size: int) -> float:
                     / spec.dimension)
 
 
-def nearest_first(points: np.ndarray, x: np.ndarray, chunk: int) -> Iterator[int]:
+def nearest_first(points: np.ndarray, x: np.ndarray,
+                  chunk: int) -> Iterator[np.ndarray]:
     """Yield the row indices of ``points`` from nearest to ``x`` outwards,
-    in ``argsort(kind="stable")`` order of the squared distances.
+    in ``argsort(kind="stable")`` order of the squared distances, as
+    consecutive index arrays.
 
     Works a chunk at a time, so a caller that stops early pays O(len)
     rather than a full sort; each chunk is eight times the last, so a
@@ -194,7 +223,7 @@ def nearest_first(points: np.ndarray, x: np.ndarray, chunk: int) -> Iterator[int
     passed = -np.inf
     while passed < np.inf:
         order, passed = _next_chunk(points, x, passed, chunk)
-        yield from order
+        yield order
         chunk *= 8
 
 
@@ -218,7 +247,7 @@ def squared_distances(points: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _next_chunk(points: np.ndarray, x: np.ndarray, passed: float,
-                chunk: int) -> tuple[list[int], float]:
+                chunk: int) -> tuple[np.ndarray, float]:
     """The rows whose squared distance to ``x`` exceeds ``passed``, up to
     and including every tie of the ``chunk``-th smallest such distance, in
     (distance, index) order; and that distance, or inf if no row is left."""
@@ -228,7 +257,38 @@ def _next_chunk(points: np.ndarray, x: np.ndarray, passed: float,
     if rest.size > chunk:
         limit = np.partition(d[rest], chunk - 1)[chunk - 1]
         rest = rest[d[rest] <= limit]
-    return rest[np.lexsort((rest, d[rest]))].tolist(), limit
+    return rest[np.lexsort((rest, d[rest]))], limit
+
+
+def shortlist_rows(tree: cKDTree, coords: np.ndarray, idx: np.ndarray,
+                   k: int) -> np.ndarray:
+    """Rows ``idx`` of ``tree.query(coords, k)[1]``, from one query of those
+    points alone: a point's row does not depend on the points queried
+    with it."""
+    return tree.query(coords[idx], k=k)[1]
+
+
+def nearest_better(tree: cKDTree, coords: np.ndarray,
+                   k: int) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """The first entry ``j < i`` of each row i of ``tree.query(coords, k)[1]``,
+    or -1 where the row has none (always for row 0); and the full rows it
+    queried, by row: those of the points whose ``NARROW_K`` row leaves the
+    answer open (see "Neighbor order" in the module docstring)."""
+    ranks = np.arange(len(coords))
+    dist, nn = tree.query(coords, k=NARROW_K)
+    below = nn < ranks[:, None]
+    first = below.argmax(axis=1)
+    nearest = nn[ranks, first]
+    near = dist[ranks, first][:, None]
+    trusted = (below.any(axis=1) & (near[:, 0] < dist[:, -1])
+               & ((dist == near).sum(axis=1) == 1))
+    redo = np.flatnonzero(~trusted[1:]) + 1
+    rows = shortlist_rows(tree, coords, redo, k)
+    below = rows < redo[:, None]
+    nearest[redo] = np.where(below.any(axis=1),
+                             rows[np.arange(len(redo)), below.argmax(axis=1)], -1)
+    nearest[0] = -1
+    return nearest, dict(zip(redo.tolist(), rows))
 
 
 def _test_point_counts(starts: np.ndarray, ends: np.ndarray,
@@ -270,31 +330,29 @@ def cluster_population(pop: tuple[np.ndarray, np.ndarray],
     # the rare solution that exhausts its shortlist goes on to the
     # distances to all its better predecessors.
     shortlist_k = min(n, 8 * max_attempts)
-    nn = cKDTree(coords).query(coords, k=shortlist_k)[1] if n > shortlist_k else None
+    tree = cKDTree(coords) if n > shortlist_k else None
+    if tree is not None:
+        nearest, rows = nearest_better(tree, coords, shortlist_k)
+    else:
+        nearest, rows = np.full(n, -1), {}
 
     def better_neighbors(i):
-        seen: set[int] = set()
-        if nn is not None:
-            for j in nn[i]:
-                if j < i:
-                    seen.add(int(j))
-                    yield int(j)
-            if len(seen) == i:
+        """Rank ``i``'s better neighbors in walk order, as index arrays."""
+        seen = None
+        if tree is not None:
+            row = rows[i]
+            row = row[row < i]
+            yield row
+            if len(row) == i:
                 return
-        for j in nearest_first(columns[:i], coords[i], 2 * shortlist_k):
-            if j not in seen:
-                yield j
+            seen = np.zeros(i, dtype=bool)
+            seen[row] = True
+        for chunk in nearest_first(columns[:i], coords[i], 2 * shortlist_k):
+            yield chunk if seen is None else chunk[~seen[chunk]]
 
-    # The first neighbor better_neighbors(i) yields, for every i >= 1.
-    if nn is not None:
-        below = nn < np.arange(n)[:, None]
-        nearest = nn[np.arange(n), below.argmax(axis=1)]
-        missing = np.flatnonzero(~below.any(axis=1))
-    else:
-        nearest = np.zeros(n, dtype=int)
-        missing = np.arange(n)
-    for i in missing[missing > 0]:
-        nearest[i] = next(better_neighbors(i))
+    # Where the shortlist has no better neighbor, the first one past it.
+    for i in np.flatnonzero(nearest[1:] < 0) + 1:
+        nearest[i] = next(c for c in better_neighbors(i) if c.size)[0]
 
     root = np.arange(n)  # root[i]: whose cluster i shares
     label = np.zeros(n, dtype=int)  # cluster of each root: its founder's rank
@@ -322,22 +380,34 @@ def cluster_population(pop: tuple[np.ndarray, np.ndarray],
         None, to be resumed once that root is decided. Sets ``label[i]``:
         the cluster joined, or ``i`` for a new one.
         """
-        tried = set()
-        for j in better_neighbors(i):
-            r = root[j]
-            if label[r] < 0:
-                waiters.setdefault(r, []).append(i)
-                yield None
-            cid = label[r]
-            if cid in tried:
-                continue
-            if len(tried) >= max_attempts:
-                break
-            tried.add(cid)
-            # The first neighbor is nearest[i], whose test already failed.
-            if len(tried) > 1 and (yield j):
-                label[i] = cid
-                return
+        tried = []
+        for chunk in better_neighbors(i):
+            owner = root[chunk]
+            pos = 0
+            while pos < len(chunk):
+                if tried:  # skip to the next neighbor in an untried cluster
+                    labels = label[owner[pos:]]  # undecided ones are -1
+                    fresh = labels != tried[0]
+                    for cid in tried[1:]:
+                        fresh &= labels != cid
+                    ahead = int(fresh.argmax())
+                    if not fresh[ahead]:
+                        break
+                    pos += ahead
+                r = int(owner[pos])
+                if label[r] < 0:
+                    waiters.setdefault(r, []).append(i)
+                    yield None
+                    continue  # read the labels again from pos
+                if len(tried) >= max_attempts:
+                    label[i] = i
+                    return
+                tried.append(label[r])
+                # The first neighbor is nearest[i], whose test already failed.
+                if len(tried) > 1 and (yield int(chunk[pos])):
+                    label[i] = tried[-1]
+                    return
+                pos += 1
         label[i] = i
 
     def label_roots(roots: np.ndarray) -> None:
@@ -378,7 +448,12 @@ def cluster_population(pop: tuple[np.ndarray, np.ndarray],
         if np.array_equal(jumped, root):
             break
         root[:] = jumped
-    label_roots(ranks[~passed])
+    roots = ranks[~passed]
+    if tree is not None:  # the walks read the roots' full shortlists
+        fetch = roots[[r not in rows for r in roots.tolist()]]
+        rows.update(zip(fetch.tolist(),
+                        shortlist_rows(tree, coords, fetch, shortlist_k)))
+    label_roots(roots)
     label[:] = label[root]
 
     rank = np.concatenate([np.arange(n)] + [t[0] for t in tests])

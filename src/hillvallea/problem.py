@@ -94,8 +94,9 @@ class ProblemSpec:
         return -internal if self.maximize else internal
 
     def clamp(self, x: np.ndarray) -> np.ndarray:
-        """Repair out-of-bounds samples by coordinate-wise clamping."""
-        return np.clip(x, self.lower, self.upper)
+        """Repair out-of-bounds samples by coordinate-wise clamping: the
+        ``clip`` ufunc that ``np.clip`` reaches, without its Python wrapper."""
+        return x.clip(self.lower, self.upper)
 
 
 @dataclass

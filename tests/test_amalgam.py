@@ -234,14 +234,15 @@ class TestGenerationStep:
             x = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-6, 3, d)
             f = rng.normal(size=n) * 10.0 ** rng.uniform(-6, 6)
         spec = synthetic_spec(sphere, [-1.0] * d, [1.0] * d, [[0.0] * d])
+        floor = STDDEV_FLOOR_SCALE * (spec.upper - spec.lower)
         s = amalgam.CoreSearchState(mean=np.zeros(d), stddev=np.ones(d),
                                     multiplier=1.0, population=(x, f),
-                                    generation=0, best=best_of(x, f))
+                                    generation=0, best=best_of(x, f),
+                                    stddev_floor=floor)
         sel = np.argsort(f, kind="stable")[:math.ceil(0.35 * n)]
         a_g = generation_step(s, BudgetedEvaluator(spec), rng)
         assert np.float64(a_g).tobytes() == np.float64(np.mean(f[sel])).tobytes()
         assert s.mean.tobytes() == np.mean(x[sel], axis=0).tobytes()
-        floor = STDDEV_FLOOR_SCALE * (spec.upper - spec.lower)
         want = np.maximum(np.std(x[sel], axis=0, ddof=0), floor)
         assert s.stddev.tobytes() == want.tobytes()
 

@@ -234,6 +234,24 @@ class TestRunCommand:
         assert runs == []
         assert not (tmp_path / "r.csv").exists()
 
+    @pytest.mark.parametrize("out, why", [("taken", "it is a directory"),
+                                          ("missing/r.csv", "is not a directory")])
+    def test_unwritable_csv_fails_before_any_run(self, tmp_path, capfd,
+                                                 monkeypatch, out, why):
+        # used to run the whole campaign (and write the reports), then fail
+        (tmp_path / "taken").mkdir()
+        runs = []
+        monkeypatch.setattr(cli, "_single_run", lambda *a: runs.append(a))
+        rc = main(["run", "--problems", "2", "--runs", "2",
+                   "--reports-dir", str(tmp_path / "rep"),
+                   "--out", str(tmp_path / out)])
+        assert rc == 1
+        err = capfd.readouterr().err
+        assert f"error: cannot write {tmp_path / out}: " in err and why in err
+        assert runs == []
+        assert not (tmp_path / "rep").exists()
+        assert not (tmp_path / "missing").exists()
+
     def test_report_write_error_fails_cleanly(self, tmp_path, capfd, monkeypatch):
         # the report path becomes a directory while the campaign runs
         real = cli._single_run

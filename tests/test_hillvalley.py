@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from hillvallea import hillvalley, orchestrator
 from hillvallea.benchmarks import get_problem
 from hillvallea.hillvalley import (MAX_TEST_POINTS, cluster_population,
-                                   expected_edge_length, nearest_first,
+                                   expected_edge_length, nearest_better,
+                                   nearest_first, shortlist_rows,
                                    squared_distances)
 from hillvallea.hillvalley import _test_point_counts as point_counts
 from hillvallea.hillvalley import hill_valley_test
@@ -274,6 +276,33 @@ class TestBatchedClusteringEquivalence:
             _assert_same_clusters(cluster_population(pop, e_new), want)
             assert e_new.used == e_ref.used
 
+    @pytest.mark.parametrize("d, n, seed", [(2, 700, 0), (2, 1500, 1),
+                                            (3, 700, 2), (3, 1500, 3)])
+    def test_large_tied_populations(self, d, n, seed):
+        # Grid ties in populations far beyond the shortlist width, where
+        # the narrow first query and the batched full rows both serve.
+        spec = _spec(_many_wells, d)
+        xs = np.random.default_rng(seed).integers(-8, 9, (n, d)) / 4.0
+        pop = BudgetedEvaluator(spec).evaluate_batch(xs)
+        e_ref = BudgetedEvaluator(spec, used=n)
+        want = ref.cluster_population(pop, e_ref)
+        e_new = BudgetedEvaluator(spec, used=n)
+        served = []
+        real = hillvalley.shortlist_rows
+
+        def spy(tree, coords, idx, k):
+            rows = real(tree, coords, idx, k)
+            served.append((coords, idx, k, rows))
+            return rows
+
+        with mock.patch.object(hillvalley, "shortlist_rows", spy):
+            _assert_same_clusters(cluster_population(pop, e_new), want)
+        assert e_new.used == e_ref.used
+        assert served
+        for coords, idx, k, rows in served:
+            full = cKDTree(coords).query(coords, k=k)[1]
+            assert rows.tolist() == full[idx].tolist()
+
     @pytest.mark.parametrize("d, n_rounds", [(1, 5), (2, 26), (3, 58)])
     def test_each_round_tests_in_rank_order(self, d, n_rounds):
         # A walk woken when the root it waits on is decided runs in that
@@ -331,6 +360,32 @@ def test_runs_match_the_sequential_reference(pid):
         assert got == want
 
 
+@settings(max_examples=150, deadline=None)
+@given(d=st.integers(1, 3), n=st.integers(1, 2000), grid=st.booleans(),
+       seed=st.integers(0, 2 ** 16))
+def test_neighbour_rows_are_the_full_querys(d, n, grid, seed):
+    # The nearest better neighbors and every full row, against one query
+    # of all points with the shortlist width; a coarse grid ties many
+    # distances, so the narrow first query must often defer to the full one.
+    rng = np.random.default_rng(seed)
+    coords = (rng.integers(0, 5, (n, d)) / 4.0 if grid
+              else rng.uniform(0.0, 1.0, (n, d)))
+    k = min(n - 1, 8 * (1 + d))  # clustering queries only when n > k
+    if k <= hillvalley.NARROW_K:
+        return
+    tree = cKDTree(coords)
+    full = cKDTree(coords).query(coords, k=k)[1]
+    ranks = np.arange(n)
+    below = full < ranks[:, None]
+    want = np.where(below.any(axis=1), full[ranks, below.argmax(axis=1)], -1)
+    nearest, rows = nearest_better(tree, coords, k)
+    assert nearest.tolist() == want.tolist()
+    for i, row in rows.items():
+        assert row.tolist() == full[i].tolist()
+    some = rng.choice(n, rng.integers(0, n + 1), replace=False)  # say, roots
+    assert shortlist_rows(tree, coords, some, k).tolist() == full[some].tolist()
+
+
 @settings(max_examples=100, deadline=None)
 @given(d=st.integers(1, 3), i=st.integers(1, 300), chunk=st.integers(1, 40),
        seed=st.integers(0, 2 ** 16))
@@ -338,8 +393,8 @@ def test_nearest_first_is_the_stable_argsort(d, i, chunk, seed):
     # grid points: many better predecessors lie at the same distance
     coords = np.random.default_rng(seed).integers(0, 4, (i + 1, d)) / 4.0
     dists = ((coords[:i] - coords[i]) ** 2).sum(axis=1)
-    got = list(nearest_first(coords[:i], coords[i], chunk))
-    assert got == np.argsort(dists, kind="stable").tolist()
+    got = np.concatenate(list(nearest_first(coords[:i], coords[i], chunk)))
+    assert got.tolist() == np.argsort(dists, kind="stable").tolist()
 
 
 @settings(max_examples=300, deadline=None)

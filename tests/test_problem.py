@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hillvallea.benchmarks import get_problem
 from hillvallea.problem import (BudgetedEvaluator, BudgetExhausted,
@@ -87,6 +89,19 @@ def test_clamp_repairs_out_of_bounds():
     spec = get_problem(5)
     repaired = spec.clamp(np.array([[5.0, -9.0]]))
     assert np.allclose(repaired, [[1.9, -1.1]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=st.integers(1, 4), n=st.integers(0, 12), seed=st.integers(0, 2 ** 16))
+def test_clamp_is_np_clip_bit_for_bit(d, n, seed):
+    # bounds at 0.0 and samples of -0.0, 0.0, inside and beyond the box
+    rng = np.random.default_rng(seed)
+    lower = rng.choice([-2.0, 0.0], d)
+    upper = lower + rng.choice([0.5, 2.0], d)
+    x = rng.choice([-0.0, 0.0, -3.0, 3.0, np.nextafter(0.0, 1.0)], (n, d))
+    x = np.where(rng.random((n, d)) < 0.5, x, rng.uniform(-3.0, 3.0, (n, d)))
+    spec = synthetic_spec(sphere, lower, upper, [lower])
+    assert spec.clamp(x).tobytes() == np.clip(x, lower, upper).tobytes()
 
 
 @pytest.mark.parametrize("extra", [1, -1])
