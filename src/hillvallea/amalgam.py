@@ -10,6 +10,7 @@ archived niche or that are predicted to converge to a local minimum.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -71,13 +72,8 @@ class ConvergenceTracker:
 
     b: float
     history: deque = field(default_factory=lambda: deque(maxlen=WINDOW + 1))
-    consecutive_improvements: int = 0
 
     def record(self, a_g: float) -> None:
-        if self.history and a_g < self.history[-1]:
-            self.consecutive_improvements += 1
-        else:
-            self.consecutive_improvements = 0
         self.history.append(a_g)
 
     @property
@@ -127,7 +123,7 @@ def check_convergence_termination(t: ConvergenceTracker, g: int,
     r = estimate_rate(delta_old, delta_new)
     if r <= 0.0:
         return False
-    if t.consecutive_improvements < WINDOW:
+    if not all(new < old for old, new in itertools.pairwise(t.history)):
         return False
     tto = time_to_optimum(delta_new, delta_old)
     return g + tto > GEN_CAP_MULTIPLIER * gen_cap
@@ -135,7 +131,7 @@ def check_convergence_termination(t: ConvergenceTracker, g: int,
 
 def init_from_cluster(c: Cluster, pop_size: int, e: BudgetedEvaluator,
                       rng: np.random.Generator,
-                      min_spread: np.ndarray | None = None) -> CoreSearchState:
+                      min_spread: np.ndarray) -> CoreSearchState:
     """Fit the initial Gaussian to a cluster and top up its population.
 
     ``min_spread`` (per-dimension) widens degenerate fits: a singleton or
@@ -150,9 +146,7 @@ def init_from_cluster(c: Cluster, pop_size: int, e: BudgetedEvaluator,
     else:
         stddev = np.zeros(e.spec.dimension)
     floor = STDDEV_FLOOR_SCALE * (e.spec.upper - e.spec.lower)
-    stddev = np.maximum(stddev, floor)
-    if min_spread is not None:
-        stddev = np.maximum(stddev, min_spread)
+    stddev = np.maximum(np.maximum(stddev, floor), min_spread)
     pop_x, pop_f = c.x, c.f
     n_extra = pop_size - len(c)
     if n_extra > 0:
@@ -227,14 +221,14 @@ def check_reexploration(s: Solution, archive: "ElitistArchive",
 
 def run_core_search(c: Cluster, pop_size: int, archive: "ElitistArchive",
                     e: BudgetedEvaluator, rng: np.random.Generator,
-                    min_spread: np.ndarray | None = None
+                    min_spread: np.ndarray
                     ) -> tuple[Solution, TerminationReason, int]:
     """Run one core search to termination.
 
     Returns the best solution found, the termination reason, and the
     number of generations executed.
     """
-    state = init_from_cluster(c, pop_size, e, rng, min_spread=min_spread)
+    state = init_from_cluster(c, pop_size, e, rng, min_spread)
     tracker = ConvergenceTracker(b=archive.best_fitness) if len(archive) else None
 
     while True:

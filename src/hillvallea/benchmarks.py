@@ -21,18 +21,20 @@ class UnavailableProblem(Exception):
     pass
 
 
+# Piece k of the trap, from _TRAP_BREAKS[k - 1] (included) to
+# _TRAP_BREAKS[k], the last one up to 30 (included), is
+# _TRAP_SLOPE[k] * (x - _TRAP_ANCHOR[k]); past 30 the trap is 0. A piece
+# published as c * (a - x) is written (-c) * (x - a): the same bits, as
+# x never equals a on it, where only the sign of a zero would differ.
+_TRAP_BREAKS = np.array([2.5, 5.0, 7.5, 12.5, 17.5, 22.5, 27.5])
+_TRAP_SLOPE = np.array([-80.0, 64.0, -64.0, 28.0, -28.0, 32.0, -32.0, 80.0])
+_TRAP_ANCHOR = np.array([2.5, 2.5, 7.5, 7.5, 17.5, 17.5, 27.5, 27.5])
+
+
 def five_uneven_peak_trap(X: np.ndarray) -> np.ndarray:
     x = X[:, 0]
-    conds = [
-        x < 2.5, x < 5.0, x < 7.5, x < 12.5,
-        x < 17.5, x < 22.5, x < 27.5, x <= 30.0,
-    ]
-    vals = [
-        80.0 * (2.5 - x), 64.0 * (x - 2.5), 64.0 * (7.5 - x),
-        28.0 * (x - 7.5), 28.0 * (17.5 - x), 32.0 * (x - 17.5),
-        32.0 * (27.5 - x), 80.0 * (x - 27.5),
-    ]
-    return np.select(conds, vals)
+    k = _TRAP_BREAKS.searchsorted(x, side="right")
+    return np.where(x <= 30.0, _TRAP_SLOPE[k] * (x - _TRAP_ANCHOR[k]), 0.0)
 
 
 def equal_maxima(X: np.ndarray) -> np.ndarray:
@@ -187,7 +189,6 @@ _UNAVAILABLE = {
     20: ("Composition Function 4", 20, 8, 400_000),
 }
 
-AVAILABLE_IDS = tuple(sorted(_SPECS))
 ALL_IDS = tuple(range(1, 21))
 
 

@@ -167,8 +167,8 @@ def cmd_run(config: CampaignConfig, out=None) -> int:
         per_problem[pid].append(sc)
         rows.append([pid, seed, report.evaluations, sc.peaks_found,
                      repr(sc.peak_ratio), repr(sc.static_f1), repr(sc.f1_harmonic)])
-    for pid in config.problem_ids:
-        agg = aggregate(per_problem[pid])
+    aggs = {pid: aggregate(scores) for pid, scores in per_problem.items()}
+    for pid, agg in aggs.items():
         rows.append([pid, "mean", repr(agg.mean_evaluations),
                      repr(agg.mean_peak_ratio * get_problem(pid).num_global_optima),
                      repr(agg.mean_peak_ratio), repr(agg.mean_static_f1),
@@ -185,14 +185,15 @@ def cmd_run(config: CampaignConfig, out=None) -> int:
     except OSError as exc:
         print(f"error: cannot write {path}: {exc}", file=sys.stderr)
         return 1
-    for pid in config.problem_ids:
-        agg = aggregate(per_problem[pid])
+    for pid, agg in aggs.items():
         print(f"problem {pid}: mean PR = {agg.mean_peak_ratio:.4f}, "
               f"mean static F1 = {agg.mean_static_f1:.4f} over {agg.runs} runs",
               file=out)
     return 0
 
 
+# A wrapper only so that perfbench's ledger can swap in a timed pool task;
+# it goes once the ledger reads a run trace.
 def _single_run_star(task):
     return _single_run(*task)
 
@@ -257,15 +258,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "list":
         return cmd_list(args.problems)
     if args.command == "run":
-        try:
-            config = CampaignConfig(
-                problem_ids=args.problems, runs=args.runs, base_seed=args.seed,
-                epsilon=args.epsilon, out_path=args.out, jobs=args.jobs,
-                reports_dir=args.reports_dir)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        return cmd_run(config)
+        # argparse has validated every field, so the config cannot reject them
+        return cmd_run(CampaignConfig(
+            problem_ids=args.problems, runs=args.runs, base_seed=args.seed,
+            epsilon=args.epsilon, out_path=args.out, jobs=args.jobs,
+            reports_dir=args.reports_dir))
     if args.command == "score":
         return cmd_score(args.report, args.problem, args.epsilon)
     return 2

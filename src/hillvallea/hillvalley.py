@@ -178,14 +178,13 @@ def hill_valley_test(a: Solution, b: Solution, n_test: int,
     Samples ``n_test`` equidistant interior points on the segment from
     ``a`` to ``b`` (in that order) and accepts iff every point is no worse
     than the worse endpoint. Stops at the first violating point. This is
-    ``hill_valley_tests`` on one pair, bit for bit: the same arithmetic
+    ``hill_valley_tests`` on one pair, bit for bit, for every count (0
+    accepts without evaluations): the same arithmetic
     (``t = k / (n_test + 1)``, ``a + t * (b - a)``), one point per objective
     call, each compared with the worse endpoint in the same order.
     """
     if np.array_equal(a.x, b.x):
         return HillValleyOutcome(True)
-    if n_test < 1:
-        raise ValueError("n_test must be >= 1 for distinct endpoints")
     points = a.x + (np.arange(1, n_test + 1) / (n_test + 1))[:, None] * (b.x - a.x)
     for k in range(n_test):
         if e.evaluate_batch(points[k:k + 1])[1][0] > max(a.f, b.f):

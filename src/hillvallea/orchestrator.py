@@ -140,6 +140,8 @@ class RunReport:
         return cls(problem_id, seed, evaluations, solutions)
 
 
+# A wrapper only so that perfbench's ledger can wrap the pre-check apart
+# from the in-search check; it goes once the ledger reads a run trace.
 def _precheck_skip(cluster_best: Solution, archive: ElitistArchive,
                    e: BudgetedEvaluator) -> bool:
     """True when a cluster's best already sits in an explored niche."""

@@ -128,16 +128,6 @@ class BudgetedEvaluator:
     def remaining(self) -> int:
         return self.spec.budget - self.used
 
-    def evaluate(self, x: np.ndarray) -> Solution:
-        """Evaluate one point. The algorithm evaluates in batches; the
-        sequential reference clustering (tests) evaluates through this."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.spec.dimension,):
-            raise DimensionMismatch(
-                f"expected vector of length {self.spec.dimension}, got shape {x.shape}")
-        xs, fs = self.evaluate_batch(x[None, :])
-        return Solution(xs[0], float(fs[0]))
-
     def evaluate_batch(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Evaluate the rows of ``xs``; one budget unit per row.
 

@@ -4,7 +4,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from hillvallea.problem import BudgetedEvaluator, ProblemSpec
+from hillvallea.problem import BudgetedEvaluator, ProblemSpec, Solution
 
 import reference_clustering
 
@@ -20,6 +20,12 @@ def synthetic_spec(fn, lower, upper, optima, fopt=0.0, budget=1_000_000,
         budget=budget, known_optima=optima,
         optimum_fitness=fopt, niche_radius=radius, objective=fn,
         maximize=False)
+
+
+def evaluate_point(e, x):
+    """Evaluate the one point ``x`` (a scalar or a vector) as a Solution."""
+    xs, fs = e.evaluate_batch(np.atleast_1d(np.asarray(x, float))[None, :])
+    return Solution(xs[0], float(fs[0]))
 
 
 def sphere(X):

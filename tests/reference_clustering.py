@@ -27,7 +27,9 @@ def hill_valley_test(a, b, n_test, e):
     worst = max(a.f, b.f)
     accepted = []
     for k in range(1, n_test + 1):
-        sol = e.evaluate(a.x + (k / (n_test + 1)) * (b.x - a.x))
+        point = a.x + (k / (n_test + 1)) * (b.x - a.x)
+        xs, fs = e.evaluate_batch(point[None, :])
+        sol = Solution(xs[0], float(fs[0]))
         if sol.f > worst:
             return Outcome(False, accepted)
         accepted.append(sol)

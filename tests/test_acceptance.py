@@ -20,7 +20,7 @@ from hillvallea.orchestrator import ElitistArchive, run_hillvallea
 from hillvallea.problem import BudgetedEvaluator, Solution, uniform_init
 from hillvallea.scoring import score
 
-from conftest import double_well, sphere, synthetic_spec
+from conftest import double_well, evaluate_point, sphere, synthetic_spec
 
 
 class TestCriterion1RateEstimatorOracle:
@@ -56,15 +56,15 @@ class TestCriterion2HillValleyCorrectness:
         rng = np.random.default_rng(0)
         for _ in range(1000):
             xa, xb = rng.uniform(-2.0, 2.0, 2)
-            a = sphere_eval.evaluate(np.array([xa]))
-            b = sphere_eval.evaluate(np.array([xb]))
+            a = evaluate_point(sphere_eval, xa)
+            b = evaluate_point(sphere_eval, xb)
             n = int(rng.integers(1, 6))
             assert hill_valley_test(a, b, n, sphere_eval).same_niche
 
     @pytest.mark.parametrize("n_test", [1, 2, 3, 4, 5])
     def test_double_well_minima_are_distinct(self, double_well_eval, n_test):
-        a = double_well_eval.evaluate(np.array([-1.0]))
-        b = double_well_eval.evaluate(np.array([1.0]))
+        a = evaluate_point(double_well_eval, -1.0)
+        b = evaluate_point(double_well_eval, 1.0)
         assert not hill_valley_test(a, b, n_test, double_well_eval).same_niche
 
     def test_double_well_random_pairs(self, double_well_eval):
@@ -74,8 +74,8 @@ class TestCriterion2HillValleyCorrectness:
         rng = np.random.default_rng(1)
         for _ in range(1000):
             xa, xb = rng.uniform(-2.0, 2.0, 2)
-            a = double_well_eval.evaluate(np.array([xa]))
-            b = double_well_eval.evaluate(np.array([xb]))
+            a = evaluate_point(double_well_eval, xa)
+            b = evaluate_point(double_well_eval, xb)
             n = int(rng.integers(1, 6))
             out = hill_valley_test(a, b, n, double_well_eval)
             _, _, tf, ok = hill_valley_tests(
@@ -163,10 +163,12 @@ class TestCriterion6BudgetInvariant:
 
 class TestCriterion7Determinism:
     def test_repeated_campaign_is_byte_identical(self, tmp_path):
+        # the repeat runs in the process pool, which must write the
+        # sequential campaign's bytes
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
-        for p in paths:
+        for p, jobs in zip(paths, ["1", "2"]):
             rc = main(["run", "--problems", "1-10", "--runs", "3",
-                       "--seed", "7", "--out", str(p)])
+                       "--seed", "7", "--out", str(p), "--jobs", jobs])
             assert rc == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
@@ -182,13 +184,13 @@ class TestCriterion8TerminationBehavior:
         for trial in range(100):
             rng = np.random.default_rng(1000 + trial)
             e = self._double_well_eval()
-            elite = e.evaluate(np.array([1.0]))
+            elite = evaluate_point(e, 1.0)
             archive = ElitistArchive(x=elite.x[None, :], f=np.array([elite.f]),
                                      max_generation=20)
             xs = rng.uniform(0.3, 1.7, 12)
             cluster = Cluster(*e.evaluate_batch(xs[:, None]))
             _, reason, gens = run_core_search(
-                cluster, 20, archive, e, rng)
+                cluster, 20, archive, e, rng, np.zeros(1))
             if reason is TerminationReason.REEXPLORED_NICHE and gens <= 10:
                 hits += 1
         assert hits >= 95, f"re-exploration stop in only {hits}/100 trials"
@@ -207,13 +209,13 @@ class TestCriterion8TerminationBehavior:
         for trial in range(100):
             rng = np.random.default_rng(2000 + trial)
             e = BudgetedEvaluator(spec)
-            global_elite = e.evaluate(np.array([-1.0124699]))
+            global_elite = evaluate_point(e, -1.0124699)
             archive = ElitistArchive(x=global_elite.x[None, :],
                                      f=np.array([global_elite.f]))
             xs = rng.uniform(0.5, 1.5, 12)
             cluster = Cluster(*e.evaluate_batch(xs[:, None]))
             _, reason, gens = run_core_search(
-                cluster, 20, archive, e, rng)
+                cluster, 20, archive, e, rng, np.zeros(1))
             if (reason is TerminationReason.LOCAL_MINIMUM_PREDICTED
                     and gens < GENERATION_CEILING):
                 hits += 1

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -20,11 +21,11 @@ from hillvallea.hillvalley import Cluster
 from hillvallea.orchestrator import ElitistArchive
 from hillvallea.problem import BudgetedEvaluator, BudgetExhausted, best_of
 
-from conftest import double_well, sphere, synthetic_spec
+from conftest import double_well, evaluate_point, sphere, synthetic_spec
 
 
-def _sol(e, x):
-    return e.evaluate(np.atleast_1d(np.asarray(x, float)))
+# a min_spread below the positive floor: the spread is the cluster's own
+NO_SPREAD = np.zeros(1)
 
 
 def _cluster(e, xs):
@@ -115,10 +116,25 @@ class TestConvergenceTracker:
         assert not check_convergence_termination(t, 10, 1)
 
     def test_requires_five_consecutive_improvements(self):
-        # one bump inside the window resets the improvement streak
+        # one bump inside the window breaks the improvement streak
         t = self._tracker(0.0, [1.0, 0.9, 0.95, 0.9, 0.85, 0.8])
-        assert t.consecutive_improvements < WINDOW
+        assert t.full and list(t.history)[2] > list(t.history)[1]
         assert not check_convergence_termination(t, 10, 1)
+        # the same window without the bump does terminate
+        assert check_convergence_termination(
+            self._tracker(0.0, [1.0, 0.99, 0.98, 0.9, 0.85, 0.8]), 10, 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.integers(1, 9).map(float), min_size=WINDOW + 1,
+                           max_size=WINDOW + 8))
+    def test_window_test_is_the_improvement_streak(self, values):
+        # gap, rate and cap tests all pass here, so the search stops iff
+        # each of the last WINDOW records was below the one before it
+        streak = 0
+        for old, new in itertools.pairwise(values):
+            streak = streak + 1 if new < old else 0
+        t = self._tracker(0.0, values)
+        assert check_convergence_termination(t, 10 ** 9, 1) == (streak >= WINDOW)
 
     def test_slow_decay_terminates_against_small_cap(self):
         vals = [0.99 ** k for k in range(WINDOW + 1)]
@@ -144,27 +160,27 @@ class TestConvergenceTracker:
 class TestInitFromCluster:
     def test_singleton_gets_floor_stddev(self, sphere_eval):
         c = _cluster(sphere_eval, [1.0])
-        s = init_from_cluster(c, 1, sphere_eval, np.random.default_rng(0))
+        s = init_from_cluster(c, 1, sphere_eval, np.random.default_rng(0), NO_SPREAD)
         floor = STDDEV_FLOOR_SCALE * (sphere_eval.spec.upper - sphere_eval.spec.lower)
         assert np.allclose(s.stddev, floor)
         assert np.allclose(s.mean, [1.0])
 
     def test_two_point_sample_statistics(self, sphere_eval):
         c = _cluster(sphere_eval, [0.0, 2.0])
-        s = init_from_cluster(c, 2, sphere_eval, np.random.default_rng(0))
+        s = init_from_cluster(c, 2, sphere_eval, np.random.default_rng(0), NO_SPREAD)
         assert s.mean[0] == pytest.approx(1.0)
         assert s.stddev[0] == pytest.approx(math.sqrt(2.0))  # unbiased
 
     def test_no_evaluations_when_population_large_enough(self, sphere_eval):
         c = _cluster(sphere_eval, [0.0, 1.0, 2.0])
         used = sphere_eval.used
-        init_from_cluster(c, 3, sphere_eval, np.random.default_rng(0))
+        init_from_cluster(c, 3, sphere_eval, np.random.default_rng(0), NO_SPREAD)
         assert sphere_eval.used == used
 
     def test_top_up_evaluates_exactly_the_shortfall(self, sphere_eval):
         c = _cluster(sphere_eval, [0.0, 1.0])
         used = sphere_eval.used
-        s = init_from_cluster(c, 10, sphere_eval, np.random.default_rng(0))
+        s = init_from_cluster(c, 10, sphere_eval, np.random.default_rng(0), NO_SPREAD)
         assert sphere_eval.used == used + 8
         assert s.population[0].shape == (10, 1) and len(s.population[1]) == 10
 
@@ -176,19 +192,19 @@ class TestInitFromCluster:
 
     def test_best_is_fittest_member(self, sphere_eval):
         c = _cluster(sphere_eval, [2.0, 0.5, -1.0])
-        s = init_from_cluster(c, 3, sphere_eval, np.random.default_rng(0))
+        s = init_from_cluster(c, 3, sphere_eval, np.random.default_rng(0), NO_SPREAD)
         assert s.best.f == pytest.approx(0.25)
 
     def test_empty_cluster_rejected(self, sphere_eval):
         with pytest.raises(ValueError):
             init_from_cluster(Cluster(np.empty((0, 1)), np.empty(0)), 4,
-                              sphere_eval, np.random.default_rng(0))
+                              sphere_eval, np.random.default_rng(0), NO_SPREAD)
 
 
 class TestGenerationStep:
     def _state(self, e, xs, pop_size, seed=0):
         return init_from_cluster(_cluster(e, xs), pop_size, e,
-                                 np.random.default_rng(seed))
+                                 np.random.default_rng(seed), NO_SPREAD)
 
     def test_population_size_is_preserved(self, sphere_eval):
         rng = np.random.default_rng(1)
@@ -267,31 +283,31 @@ class TestReexplorationCheck:
     search and every REEXPLORATION_PERIOD generations inside one."""
 
     def test_empty_archive_is_free(self, check, double_well_eval):
-        s = _sol(double_well_eval, 1.0)
+        s = evaluate_point(double_well_eval, 1.0)
         used = double_well_eval.used
         assert not check(s, ElitistArchive(), double_well_eval)
         assert double_well_eval.used == used
 
     def test_less_fit_elite_is_free(self, check, double_well_eval):
         # same well, but the elite is worse: its search was cut short
-        s = _sol(double_well_eval, 0.9)
-        archive = _archive(_sol(double_well_eval, 1.3))
+        s = evaluate_point(double_well_eval, 0.9)
+        archive = _archive(evaluate_point(double_well_eval, 1.3))
         used = double_well_eval.used
         assert not check(s, archive, double_well_eval)
         assert double_well_eval.used == used
 
     def test_equally_fit_elite_counts(self, check, sphere_eval):
-        s = _sol(sphere_eval, 0.5)
-        assert check(s, _archive(_sol(sphere_eval, -0.5)), sphere_eval)
+        s = evaluate_point(sphere_eval, 0.5)
+        assert check(s, _archive(evaluate_point(sphere_eval, -0.5)), sphere_eval)
 
     def test_same_well_detected(self, check, double_well_eval):
-        s = _sol(double_well_eval, 0.9)
-        archive = _archive(_sol(double_well_eval, 1.0))
+        s = evaluate_point(double_well_eval, 0.9)
+        archive = _archive(evaluate_point(double_well_eval, 1.0))
         assert check(s, archive, double_well_eval)
 
     def test_opposite_well_is_distinct(self, check, double_well_eval):
-        s = _sol(double_well_eval, -0.9)
-        archive = _archive(_sol(double_well_eval, 1.0))
+        s = evaluate_point(double_well_eval, -0.9)
+        archive = _archive(evaluate_point(double_well_eval, 1.0))
         assert not check(s, archive, double_well_eval)
 
     @pytest.mark.parametrize("in_test", [0, 2, 4])
@@ -300,7 +316,7 @@ class TestReexplorationCheck:
         spec = synthetic_spec(double_well, [-2.0], [2.0], [[-1.0], [1.0]],
                               budget=2 + in_test)
         e = BudgetedEvaluator(spec)
-        s, archive = _sol(e, 0.9), _archive(_sol(e, 1.0))
+        s, archive = evaluate_point(e, 0.9), _archive(evaluate_point(e, 1.0))
         assert in_test < ELITE_TEST_POINTS
         with pytest.raises(BudgetExhausted):
             check(s, archive, e)
@@ -312,19 +328,19 @@ class TestRunCoreSearch:
         c = _cluster(sphere_eval, [1.0, 1.3, 1.6])
         best, reason, gens = run_core_search(
             c, 50, ElitistArchive(), sphere_eval,
-            np.random.default_rng(5))
+            np.random.default_rng(5), NO_SPREAD)
         assert reason == TerminationReason.CONVERGED
         assert best.f < 1e-10
         assert gens >= 1
 
     def test_preseeded_niche_triggers_reexploration_stop(self, double_well_eval):
-        elite = _sol(double_well_eval, 1.0)
+        elite = evaluate_point(double_well_eval, 1.0)
         archive = ElitistArchive(x=elite.x[None, :], f=np.array([elite.f]),
                                  max_generation=50)
         c = _cluster(double_well_eval, [0.7, 0.8, 1.3])
         best, reason, gens = run_core_search(
             c, 30, archive, double_well_eval,
-            np.random.default_rng(6))
+            np.random.default_rng(6), NO_SPREAD)
         assert reason == TerminationReason.REEXPLORED_NICHE
         assert gens <= 50
 
@@ -333,7 +349,8 @@ class TestRunCoreSearch:
         e = BudgetedEvaluator(spec)
         c = _cluster(e, [3.0, 4.0, 5.0])  # consumes the whole budget
         with pytest.raises(BudgetExhausted):
-            run_core_search(c, 30, ElitistArchive(), e, np.random.default_rng(7))
+            run_core_search(c, 30, ElitistArchive(), e, np.random.default_rng(7),
+                            NO_SPREAD)
         assert e.used == spec.budget
         assert e.best.x.tolist() == [3.0] and e.best.f == 9.0
 
@@ -343,12 +360,13 @@ class TestRunCoreSearch:
         e = BudgetedEvaluator(spec)
         c = _cluster(e, [3.0, 4.0, 5.0])  # leaves ``top_up`` of 27 rows
         with pytest.raises(BudgetExhausted):
-            run_core_search(c, 30, ElitistArchive(), e, np.random.default_rng(9))
+            run_core_search(c, 30, ElitistArchive(), e, np.random.default_rng(9),
+                            NO_SPREAD)
         assert e.used == spec.budget
         # The same top-up with budget to spare: the first ``top_up`` of its
         # rows are the ones evaluated above.
         full = init_from_cluster(c, 30, BudgetedEvaluator(replace(spec, budget=100)),
-                                 np.random.default_rng(9))
+                                 np.random.default_rng(9), NO_SPREAD)
         x, f = (v[:3 + top_up] for v in full.population)
         i = int(np.argmin(f))
         assert e.best.x.tolist() == x[i].tolist() and e.best.f == f[i]
@@ -356,7 +374,7 @@ class TestRunCoreSearch:
     def test_reexploration_is_checked_every_period(self, double_well_eval,
                                                    monkeypatch):
         # The elite sits in the other well, so the check never fires.
-        elite = _sol(double_well_eval, 1.0)
+        elite = evaluate_point(double_well_eval, 1.0)
         c = _cluster(double_well_eval, [-0.7, -0.8, -1.3])
         steps, checked_at, answers = [], [], []
         real_step, real_check = amalgam.generation_step, amalgam.check_reexploration
@@ -373,7 +391,8 @@ class TestRunCoreSearch:
         monkeypatch.setattr(amalgam, "generation_step", step)
         monkeypatch.setattr(amalgam, "check_reexploration", check)
         _, reason, gens = run_core_search(
-            c, 30, _archive(elite), double_well_eval, np.random.default_rng(0))
+            c, 30, _archive(elite), double_well_eval, np.random.default_rng(0),
+            NO_SPREAD)
         assert reason != TerminationReason.REEXPLORED_NICHE
         assert gens >= 2 * REEXPLORATION_PERIOD
         assert len(checked_at) == gens // REEXPLORATION_PERIOD
@@ -385,6 +404,6 @@ class TestRunCoreSearch:
         c = _cluster(sphere_eval, [1.0, 1.3, 1.6])
         best, reason, _ = run_core_search(
             c, 50, ElitistArchive(), sphere_eval,
-            np.random.default_rng(8))
+            np.random.default_rng(8), NO_SPREAD)
         assert reason == TerminationReason.CONVERGED
         assert abs(best.x[0]) < CONVERGED_SPREAD * 100

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from hillvallea.benchmarks import (ALL_IDS, AVAILABLE_IDS, UnavailableProblem,
-                                   catalog, get_problem, modified_rastrigin,
-                                   shubert, vincent)
+from hillvallea.benchmarks import (ALL_IDS, UnavailableProblem, catalog,
+                                   five_uneven_peak_trap, get_problem,
+                                   modified_rastrigin, shubert, vincent)
 
 # dimension, number of global optima, budget, niche radius
 EXPECTED = {
@@ -27,7 +27,7 @@ EXPECTED = {
 
 class TestCatalog:
     def test_id_ranges(self):
-        assert AVAILABLE_IDS == tuple(range(1, 11))
+        assert [c.id for c in catalog() if c.available] == list(range(1, 11))
         assert ALL_IDS == tuple(range(1, 21))
 
     def test_twenty_entries(self):
@@ -166,6 +166,31 @@ class TestIndependentOptimaCounts:
         assert len(peaks) == 6
         assert get_problem(7).num_global_optima == 6 ** 2
         assert get_problem(9).num_global_optima == 6 ** 3
+
+
+_TRAP_EDGES = np.array([0.0, 2.5, 5.0, 7.5, 12.5, 17.5, 22.5, 27.5, 30.0])
+_TRAP_SPECIAL = np.concatenate([
+    _TRAP_EDGES, np.nextafter(_TRAP_EDGES, -np.inf), np.nextafter(_TRAP_EDGES, np.inf),
+    [-0.0, np.inf, -np.inf, np.nan, -40.0, 40.0]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 50), special=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2 ** 16))
+def test_five_uneven_peak_trap_is_the_select_expression(n, special, seed):
+    # bit for bit the published piecewise form through np.select, on the
+    # breakpoints, their float neighbours, -0.0, +-inf, NaN and beyond [0, 30]
+    rng = np.random.default_rng(seed)
+    x = np.where(rng.random(n) < special, rng.choice(_TRAP_SPECIAL, n),
+                 rng.uniform(-5.0, 35.0, n))
+    want = np.select(
+        [x < 2.5, x < 5.0, x < 7.5, x < 12.5, x < 17.5, x < 22.5, x < 27.5,
+         x <= 30.0],
+        [80.0 * (2.5 - x), 64.0 * (x - 2.5), 64.0 * (7.5 - x), 28.0 * (x - 7.5),
+         28.0 * (17.5 - x), 32.0 * (x - 17.5), 32.0 * (27.5 - x),
+         80.0 * (x - 27.5)])
+    got = five_uneven_peak_trap(x[:, None])
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
 @settings(max_examples=200, deadline=None)

@@ -19,11 +19,7 @@ from hillvallea.hillvalley import hill_valley_test
 from hillvallea.problem import BudgetedEvaluator, BudgetExhausted, Solution
 
 import reference_clustering as ref
-from conftest import double_well, sphere, synthetic_spec
-
-
-def _sol(e, x):
-    return e.evaluate(np.atleast_1d(np.asarray(x, float)))
+from conftest import double_well, evaluate_point, sphere, synthetic_spec
 
 
 def _pop(e, xs):
@@ -42,7 +38,7 @@ def _pair_points(a, b, n_test, e):
 
 class TestHillValleyTest:
     def test_identical_points_same_niche_zero_evals(self, sphere_eval):
-        a = _sol(sphere_eval, 0.5)
+        a = evaluate_point(sphere_eval, 0.5)
         used = sphere_eval.used
         with mock.patch.object(hillvalley, "hill_valley_tests") as tests:
             out = hill_valley_test(a, Solution(a.x.copy(), a.f), 3, sphere_eval)
@@ -52,7 +48,8 @@ class TestHillValleyTest:
 
     def test_convex_segment_same_niche(self, sphere_eval):
         # f(x) = x^2, endpoints -1 and 1: interpolants -0.5, 0, 0.5 all <= 1
-        a, b = _sol(sphere_eval, -1.0), _sol(sphere_eval, 1.0)
+        a = evaluate_point(sphere_eval, -1.0)
+        b = evaluate_point(sphere_eval, 1.0)
         assert hill_valley_test(a, b, 3, sphere_eval).same_niche
         tx, tf, ok = _pair_points(a, b, 3, sphere_eval)
         assert tx.shape == (3, 1) and len(tf) == 3
@@ -61,7 +58,8 @@ class TestHillValleyTest:
         assert list(tf) == pytest.approx(list(tx[:, 0] ** 2))
 
     def test_double_well_midpoint_violates(self, double_well_eval):
-        a, b = _sol(double_well_eval, -1.0), _sol(double_well_eval, 1.0)
+        a = evaluate_point(double_well_eval, -1.0)
+        b = evaluate_point(double_well_eval, 1.0)
         assert not hill_valley_test(a, b, 1, double_well_eval).same_niche
         tx, tf, ok = _pair_points(a, b, 1, double_well_eval)
         assert list(ok) == [False]  # no accepted point before the violator
@@ -71,16 +69,12 @@ class TestHillValleyTest:
     def test_points_sampled_starting_at_first_argument(self, double_well_eval):
         # first test point is nearest to a; the violator (midpoint of a
         # 3-point test) is preceded by one accepted point on a's side
-        a, b = _sol(double_well_eval, -1.3), _sol(double_well_eval, 1.3)
+        a = evaluate_point(double_well_eval, -1.3)
+        b = evaluate_point(double_well_eval, 1.3)
         assert not hill_valley_test(a, b, 3, double_well_eval).same_niche
         tx, _, ok = _pair_points(a, b, 3, double_well_eval)
         assert list(ok) == [True, False]
         assert list(tx[:, 0]) == pytest.approx([-0.65, 0.0])
-
-    def test_rejects_n_test_zero_for_distinct_points(self, sphere_eval):
-        a, b = _sol(sphere_eval, -1.0), _sol(sphere_eval, 1.0)
-        with pytest.raises(ValueError):
-            hill_valley_test(a, b, 0, sphere_eval)
 
     @settings(max_examples=200, deadline=None)
     @given(lo=st.floats(-2.0, 2.0), hi=st.floats(-2.0, 2.0),
@@ -88,12 +82,13 @@ class TestHillValleyTest:
     def test_unimodal_segment_always_same_niche(self, lo, hi, n_test):
         spec = synthetic_spec(sphere, [-2.0], [2.0], [[0.0]])
         e = BudgetedEvaluator(spec)
-        out = hill_valley_test(_sol(e, lo), _sol(e, hi), n_test, e)
+        a, b = evaluate_point(e, lo), evaluate_point(e, hi)
+        out = hill_valley_test(a, b, n_test, e)
         assert out.same_niche
 
     @settings(max_examples=300, deadline=None)
     @given(d=st.integers(1, 3), fn=st.sampled_from([double_well, sphere]),
-           grid=st.booleans(), n_test=st.integers(1, 5), left=st.integers(0, 6),
+           grid=st.booleans(), n_test=st.integers(0, 5), left=st.integers(0, 6),
            seed=st.integers(0, 2 ** 16))
     def test_single_pair_path_is_the_batched_path(self, d, fn, grid, n_test,
                                                    left, seed):

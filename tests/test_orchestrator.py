@@ -15,11 +15,8 @@ from hillvallea.orchestrator import (ElitistArchive, RunReport,
 from hillvallea.problem import BudgetedEvaluator, Solution
 
 import reference_clustering as ref
-from conftest import double_well, fallback_spans, sphere, synthetic_spec
-
-
-def _sol(e, x):
-    return e.evaluate(np.atleast_1d(np.asarray(x, float)))
+from conftest import (double_well, evaluate_point, fallback_spans, sphere,
+                      synthetic_spec)
 
 
 class TestRestartScheme:
@@ -42,22 +39,22 @@ class TestRestartScheme:
 class TestArchiveInsert:
     def test_first_insert_appends(self, double_well_eval):
         a = ElitistArchive()
-        assert archive_insert(a, _sol(double_well_eval, 1.0), 7,
+        assert archive_insert(a, evaluate_point(double_well_eval, 1.0), 7,
                               double_well_eval) == "appended"
         assert len(a) == 1
         assert a.gen_cap == 7
 
     def test_distinct_niche_appends(self, double_well_eval):
         a = ElitistArchive()
-        archive_insert(a, _sol(double_well_eval, 1.0), 7, double_well_eval)
-        assert archive_insert(a, _sol(double_well_eval, -1.0), 5,
+        archive_insert(a, evaluate_point(double_well_eval, 1.0), 7, double_well_eval)
+        assert archive_insert(a, evaluate_point(double_well_eval, -1.0), 5,
                               double_well_eval) == "appended"
         assert len(a) == 2
 
     def test_same_niche_improvement_replaces(self, double_well_eval):
         a = ElitistArchive()
-        archive_insert(a, _sol(double_well_eval, 0.9), 7, double_well_eval)
-        assert archive_insert(a, _sol(double_well_eval, 1.0), 9,
+        archive_insert(a, evaluate_point(double_well_eval, 0.9), 7, double_well_eval)
+        assert archive_insert(a, evaluate_point(double_well_eval, 1.0), 9,
                               double_well_eval) == "replaced"
         assert len(a) == 1
         assert a.x[0, 0] == pytest.approx(1.0)
@@ -65,15 +62,15 @@ class TestArchiveInsert:
 
     def test_same_niche_worse_discarded(self, double_well_eval):
         a = ElitistArchive()
-        archive_insert(a, _sol(double_well_eval, 1.0), 7, double_well_eval)
-        assert archive_insert(a, _sol(double_well_eval, 0.9), 2,
+        archive_insert(a, evaluate_point(double_well_eval, 1.0), 7, double_well_eval)
+        assert archive_insert(a, evaluate_point(double_well_eval, 0.9), 2,
                               double_well_eval) == "discarded"
         assert len(a) == 1
 
     def test_nearest_elite(self, double_well_eval):
         a = ElitistArchive()
-        archive_insert(a, _sol(double_well_eval, 1.0), 1, double_well_eval)
-        archive_insert(a, _sol(double_well_eval, -1.0), 1, double_well_eval)
+        for x in (1.0, -1.0):
+            archive_insert(a, evaluate_point(double_well_eval, x), 1, double_well_eval)
         assert a.x.shape == (2, 1)
         assert a.elite(a.nearest_index(np.array([0.8]))).x[0] == pytest.approx(1.0)
         assert a.nearest_index(np.array([-0.4])) == 1

@@ -9,12 +9,12 @@ from hillvallea.benchmarks import get_problem
 from hillvallea.problem import (BudgetedEvaluator, BudgetExhausted,
                                 DimensionMismatch, uniform_init)
 
-from conftest import sphere, synthetic_spec
+from conftest import evaluate_point, sphere, synthetic_spec
 
 
 def test_equal_maxima_peak_is_minus_one_internally():
     e = BudgetedEvaluator(get_problem(2))
-    sol = e.evaluate(np.array([0.1]))
+    sol = evaluate_point(e, 0.1)
     assert sol.f == pytest.approx(-1.0, abs=1e-12)
     assert e.used == 1
 
@@ -22,26 +22,26 @@ def test_equal_maxima_peak_is_minus_one_internally():
 @pytest.mark.parametrize("pid", range(1, 11))
 def test_known_optima_match_declared_fitness(pid):
     spec = get_problem(pid)
-    e = BudgetedEvaluator(spec)
-    for opt in spec.known_optima:
-        sol = e.evaluate(opt)
-        assert abs(sol.f - spec.to_internal(spec.optimum_fitness)) < 1e-10
+    _, f = BudgetedEvaluator(spec).evaluate_batch(spec.known_optima)
+    assert np.all(np.abs(f - spec.to_internal(spec.optimum_fitness)) < 1e-10)
 
 
 def test_budget_exhausted_at_limit():
     spec = synthetic_spec(sphere, [-1.0], [1.0], [[0.0]], budget=2)
     e = BudgetedEvaluator(spec)
-    e.evaluate(np.array([0.5]))
-    e.evaluate(np.array([0.5]))
+    e.evaluate_batch(np.array([[0.5]]))
+    e.evaluate_batch(np.array([[0.5]]))
     with pytest.raises(BudgetExhausted):
-        e.evaluate(np.array([0.5]))
+        e.evaluate_batch(np.array([[0.5]]))
     assert e.used == 2
 
 
 def test_dimension_mismatch():
     e = BudgetedEvaluator(get_problem(4))
-    with pytest.raises(DimensionMismatch):
-        e.evaluate(np.array([1.0]))
+    for shape in [(1, 1), (1, 3), (2,)]:  # short row, long row, bare vector
+        with pytest.raises(DimensionMismatch):
+            e.evaluate_batch(np.ones(shape))
+    assert e.used == 0
 
 
 def test_batch_partial_on_exhaustion():
@@ -82,7 +82,7 @@ def test_reevaluation_is_bitwise_identical():
     spec = get_problem(6)
     e = BudgetedEvaluator(spec)
     x = np.array([1.234567, -5.4321])
-    assert e.evaluate(x).f == e.evaluate(x).f
+    assert evaluate_point(e, x).f == evaluate_point(e, x).f
 
 
 def test_clamp_repairs_out_of_bounds():
@@ -113,7 +113,7 @@ def test_wrong_length_objective_output_rejected(extra):
     with pytest.raises(ValueError, match="expected \\(3,\\)"):
         e.evaluate_batch(np.zeros((3, 1)))
     with pytest.raises(ValueError, match="expected \\(1,\\)"):
-        e.evaluate(np.zeros(1))
+        e.evaluate_batch(np.zeros((1, 1)))
     assert e.used == 0
 
 
