@@ -3,8 +3,8 @@ searches, plus a CEC2013 niching benchmark harness."""
 
 from .problem import (BudgetedEvaluator, BudgetExhausted, DimensionMismatch,
                       ProblemSpec, Solution, uniform_init)
-from .hillvalley import Cluster, HillValleyOutcome, cluster_population, hill_valley_test
-from .amalgam import (ConvergenceTracker, CoreSearchState, TerminationReason,
+from .hillvalley import HillValleyOutcome, cluster_population, hill_valley_test
+from .amalgam import (CoreSearchState, TerminationReason,
                       check_convergence_termination, check_reexploration,
                       generation_step, init_from_cluster, run_core_search)
 from .orchestrator import (ElitistArchive, RunReport, archive_insert,

@@ -13,12 +13,12 @@ import enum
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .hillvalley import Cluster, hill_valley_test
+from .hillvalley import hill_valley_test
 from .problem import BudgetedEvaluator, Solution, best_of
 
 if TYPE_CHECKING:
@@ -61,26 +61,6 @@ class CoreSearchState:
     stddev_floor: np.ndarray  # the least spread per dimension, fixed per search
 
 
-@dataclass
-class ConvergenceTracker:
-    """Exponential-convergence bookkeeping for one core search.
-
-    ``b`` approximates the global minimum (best archived elite); the
-    history holds the average selection fitness of the most recent
-    WINDOW + 1 generations.
-    """
-
-    b: float
-    history: deque = field(default_factory=lambda: deque(maxlen=WINDOW + 1))
-
-    def record(self, a_g: float) -> None:
-        self.history.append(a_g)
-
-    @property
-    def full(self) -> bool:
-        return len(self.history) == WINDOW + 1
-
-
 def estimate_rate(delta_old: float, delta_new: float) -> float:
     """Convergence-rate estimate over the last WINDOW generations.
 
@@ -101,21 +81,24 @@ def time_to_optimum(delta_new: float, delta_old: float) -> float:
     return math.log(TARGET_GAP / delta_new) / ((1.0 / WINDOW) * math.log(delta_new / delta_old))
 
 
-def check_convergence_termination(t: ConvergenceTracker, g: int,
+def check_convergence_termination(history: deque, b: float, g: int,
                                   gen_cap: int) -> bool:
     """Predict convergence to a local minimum from the gap history.
 
-    Requires a full window. Does not terminate while the gap is negative
+    ``history`` holds the average selection fitness of the most recent
+    generations, at most WINDOW + 1 of them; ``b`` approximates the global
+    minimum (the best archived elite), and the gap is their difference.
+    Does not terminate before the window is full, while the gap is negative
     (mean already better than the reference), while the rate estimate is
     non-positive (still exploratory), or unless the gap decreased in each
     of the last WINDOW generations. Otherwise terminates when the current
     generation plus the predicted time to optimum exceeds
     GEN_CAP_MULTIPLIER times gen_cap.
     """
-    if not t.full:
-        raise ValueError("tracker window not yet full")
-    delta_new = t.history[-1] - t.b
-    delta_old = t.history[0] - t.b
+    if len(history) <= WINDOW:
+        return False
+    delta_new = history[-1] - b
+    delta_old = history[0] - b
     if delta_new < 0.0:
         return False
     if delta_old <= 0.0:
@@ -123,32 +106,33 @@ def check_convergence_termination(t: ConvergenceTracker, g: int,
     r = estimate_rate(delta_old, delta_new)
     if r <= 0.0:
         return False
-    if not all(new < old for old, new in itertools.pairwise(t.history)):
+    if not all(new < old for old, new in itertools.pairwise(history)):
         return False
     tto = time_to_optimum(delta_new, delta_old)
     return g + tto > GEN_CAP_MULTIPLIER * gen_cap
 
 
-def init_from_cluster(c: Cluster, pop_size: int, e: BudgetedEvaluator,
-                      rng: np.random.Generator,
+def init_from_cluster(c: tuple[np.ndarray, np.ndarray], pop_size: int,
+                      e: BudgetedEvaluator, rng: np.random.Generator,
                       min_spread: np.ndarray) -> CoreSearchState:
-    """Fit the initial Gaussian to a cluster and top up its population.
+    """Fit the initial Gaussian to a cluster ``(x, f)`` and top up its
+    population.
 
     ``min_spread`` (per-dimension) widens degenerate fits: a singleton or
     very tight cluster would otherwise start with near-zero variance and
     converge on the spot without descending into its valley.
     """
-    if not len(c):
+    pop_x, pop_f = c
+    if not len(pop_f):
         raise ValueError("cluster must be non-empty")
-    mean = c.x.mean(axis=0)
-    if len(c) > 1:
-        stddev = c.x.std(axis=0, ddof=1)
+    mean = pop_x.mean(axis=0)
+    if len(pop_f) > 1:
+        stddev = pop_x.std(axis=0, ddof=1)
     else:
         stddev = np.zeros(e.spec.dimension)
     floor = STDDEV_FLOOR_SCALE * (e.spec.upper - e.spec.lower)
     stddev = np.maximum(np.maximum(stddev, floor), min_spread)
-    pop_x, pop_f = c.x, c.f
-    n_extra = pop_size - len(c)
+    n_extra = pop_size - len(pop_f)
     if n_extra > 0:
         samples = e.spec.clamp(
             mean + stddev * rng.standard_normal((n_extra, e.spec.dimension)))
@@ -162,7 +146,7 @@ def init_from_cluster(c: Cluster, pop_size: int, e: BudgetedEvaluator,
 def generation_step(s: CoreSearchState, e: BudgetedEvaluator,
                     rng: np.random.Generator) -> float:
     """Advance the search by one generation; returns the selection mean
-    fitness (a_g) used by the convergence tracker.
+    fitness (a_g) that the convergence prediction reads.
 
     The mean, spread and a_g are the reductions and divisions of numpy's
     ``_mean`` and ``_var`` without their wrappers, so they equal ``np.mean``
@@ -219,24 +203,25 @@ def check_reexploration(s: Solution, archive: "ElitistArchive",
     return hill_valley_test(s, archive.elite(i), ELITE_TEST_POINTS, e).same_niche
 
 
-def run_core_search(c: Cluster, pop_size: int, archive: "ElitistArchive",
-                    e: BudgetedEvaluator, rng: np.random.Generator,
-                    min_spread: np.ndarray
+def run_core_search(c: tuple[np.ndarray, np.ndarray], pop_size: int,
+                    archive: "ElitistArchive", e: BudgetedEvaluator,
+                    rng: np.random.Generator, min_spread: np.ndarray
                     ) -> tuple[Solution, TerminationReason, int]:
     """Run one core search to termination.
 
     Returns the best solution found, the termination reason, and the
-    number of generations executed.
+    number of generations executed. The archive is not changed during a
+    search, so its best fitness ``b`` is read once; with no elite yet,
+    convergence is never predicted.
     """
     state = init_from_cluster(c, pop_size, e, rng, min_spread)
-    tracker = ConvergenceTracker(b=archive.best_fitness) if len(archive) else None
+    b = archive.best_fitness if len(archive) else None
+    history = deque(maxlen=WINDOW + 1)
 
     while True:
         if state.generation >= GENERATION_CEILING:
             return state.best, TerminationReason.MAXED_OUT, state.generation
-        a_g = generation_step(state, e, rng)
-        if tracker is not None:
-            tracker.record(a_g)
+        history.append(generation_step(state, e, rng))
 
         if float(np.maximum.reduce(state.stddev)) * state.multiplier < CONVERGED_SPREAD:
             return state.best, TerminationReason.CONVERGED, state.generation
@@ -244,7 +229,7 @@ def run_core_search(c: Cluster, pop_size: int, archive: "ElitistArchive",
                 and check_reexploration(state.best, archive, e)):
             return (state.best, TerminationReason.REEXPLORED_NICHE,
                     state.generation)
-        if (tracker is not None and tracker.full
-                and check_convergence_termination(tracker, state.generation, archive.gen_cap)):
+        if (b is not None
+                and check_convergence_termination(history, b, state.generation, archive.gen_cap)):
             return (state.best, TerminationReason.LOCAL_MINIMUM_PREDICTED,
                     state.generation)

@@ -159,11 +159,9 @@ def cmd_run(config: CampaignConfig, out=None) -> int:
     else:
         results = [_single_run(*t) for t in tasks]
 
-    by_key = {(r.problem_id, r.seed): (r, s) for r, s in results}
     rows = []
     per_problem: dict[int, list[Score]] = {pid: [] for pid in config.problem_ids}
-    for pid, seed, _ in sorted(tasks):
-        report, sc = by_key[(pid, seed)]
+    for (pid, seed, _), (report, sc) in zip(tasks, results):
         per_problem[pid].append(sc)
         rows.append([pid, seed, report.evaluations, sc.peaks_found,
                      repr(sc.peak_ratio), repr(sc.static_f1), repr(sc.f1_harmonic)])
@@ -175,8 +173,10 @@ def cmd_run(config: CampaignConfig, out=None) -> int:
                      repr(agg.mean_f1_harmonic)])
 
     try:
-        for (pid, seed), path in reports.items():
-            path.write_text(by_key[pid, seed][0].serialize())
+        if reports:
+            for report, _ in results:
+                path = reports[report.problem_id, report.seed]
+                path.write_text(report.serialize())
         path = config.out_path
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)

@@ -97,7 +97,7 @@ from typing import Iterator
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .problem import BudgetedEvaluator, Solution, best_of
+from .problem import BudgetedEvaluator, Solution
 
 # Upper bound on test points per pair; the count grows with the distance
 # between the endpoints relative to the expected nearest-neighbor spacing.
@@ -116,21 +116,6 @@ NARROW_K = 6
 @dataclass
 class HillValleyOutcome:
     same_niche: bool
-
-
-@dataclass
-class Cluster:
-    """One niche: its members' (m, d) rows and (m,) fitness, in member order."""
-
-    x: np.ndarray
-    f: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.f)
-
-    @property
-    def best_solution(self) -> Solution:
-        return best_of(self.x, self.f)
 
 
 def hill_valley_tests(starts: np.ndarray, ends: np.ndarray,
@@ -302,14 +287,16 @@ def _test_point_counts(starts: np.ndarray, ends: np.ndarray,
 
 
 def cluster_population(pop: tuple[np.ndarray, np.ndarray],
-                       e: BudgetedEvaluator) -> list[Cluster]:
+                       e: BudgetedEvaluator) -> list[tuple[np.ndarray, np.ndarray]]:
     """Partition a population ``(x, f)`` into niches via hill-valley clustering.
 
     Solutions are visited in ascending-fitness order; each is tested
     against its nearest better neighbor and, on failure, against up to d
     further nearest better neighbors in clusters not yet tried. Accepted
     test solutions travel with the solution into its final cluster. Tests
-    and assignment run as the module docstring describes.
+    and assignment run as the module docstring describes. Each cluster is
+    a population pair: its members' (m, d) rows and (m,) fitness, in
+    member order.
     """
     pop_x, pop_f = pop
     n = len(pop_f)
@@ -460,4 +447,4 @@ def cluster_population(pop: tuple[np.ndarray, np.ndarray],
     mx = np.concatenate([xs] + [t[1] for t in tests])[member]
     mf = np.concatenate([fs] + [t[2] for t in tests])[member]
     bounds = np.flatnonzero(np.diff(label[rank][member])) + 1
-    return [Cluster(x, f) for x, f in zip(np.split(mx, bounds), np.split(mf, bounds))]
+    return list(zip(np.split(mx, bounds), np.split(mf, bounds)))

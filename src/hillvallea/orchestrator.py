@@ -12,7 +12,7 @@ import numpy as np
 from .amalgam import ELITE_TEST_POINTS, check_reexploration, run_core_search
 from .hillvalley import cluster_population, hill_valley_test
 from .problem import (BudgetedEvaluator, BudgetExhausted, ProblemSpec,
-                      Solution, uniform_init)
+                      Solution, best_of, uniform_init)
 
 INITIAL_POP_PER_DIM = 2 ** 6
 RESTART_GROWTH = 2
@@ -166,14 +166,14 @@ def run_hillvallea(spec: ProblemSpec, seed: int) -> RunReport:
             size = initial_population_size(spec.dimension, round_index)
             pop = uniform_init(e, size, rng)
             clusters = cluster_population(pop, e)
-            clusters.sort(key=lambda c: c.f.min())
+            clusters.sort(key=lambda c: c[1].min())
             # Initial Gaussian spread never below half the expected
             # sample spacing, so tiny clusters still search their valley.
             min_spread = 0.5 * (spec.upper - spec.lower) * size ** (-1.0 / spec.dimension)
             for cluster in clusters:
-                if _precheck_skip(cluster.best_solution, archive, e):
+                if _precheck_skip(best_of(*cluster), archive, e):
                     continue
-                pop_size = max(len(cluster), min_pop)
+                pop_size = max(len(cluster[1]), min_pop)
                 best, _, gens = run_core_search(
                     cluster, pop_size, archive, e, rng, min_spread=min_spread)
                 archive_insert(archive, best, gens, e)

@@ -14,6 +14,7 @@ elite, a reported optimum).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -37,10 +38,10 @@ class ProblemSpec:
     published-orientation values. It must be row-wise: a row's value may
     not depend on the other rows of the batch, because the algorithm
     evaluates the same point alone or among many others and relies on
-    getting the same value. The evaluator rejects output of any other
-    shape, and a non-finite value (NaN or +-inf) counts as the worst
-    fitness. When ``maximize`` is true, internal fitness is the negated
-    value.
+    getting the same value. The evaluator rejects complex output and
+    output of any other shape, and a non-finite value (NaN or +-inf)
+    counts as the worst fitness. When ``maximize`` is true, internal
+    fitness is the negated value.
     """
 
     id: int
@@ -60,11 +61,12 @@ class ProblemSpec:
         object.__setattr__(self, "upper", np.asarray(self.upper, dtype=float))
         object.__setattr__(self, "known_optima",
                            np.asarray(self.known_optima, dtype=float))
+        for name in ("dimension", "budget"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= 1):
+                raise ValueError(f"problem {self.id}: {name} must be >= 1 and an "
+                                 f"integer, got {value!r}")
         d = self.dimension
-        if d < 1:
-            raise ValueError(f"problem {self.id}: dimension must be >= 1, got {d}")
-        if self.budget < 1:
-            raise ValueError(f"problem {self.id}: budget must be >= 1, got {self.budget}")
         for name in ("lower", "upper"):
             shape = getattr(self, name).shape
             if shape != (d,):
@@ -134,8 +136,9 @@ class BudgetedEvaluator:
         Returns the population pair: a fresh copy of the rows and their
         internal fitness. If the budget runs out mid-batch, the rows that
         still fit are evaluated, so the whole budget is spent, and then
-        ``BudgetExhausted`` is raised. Objective output of a shape other
-        than (rows,) raises ``ValueError``; non-finite values become +inf.
+        ``BudgetExhausted`` is raised. Complex objective output, and output
+        of a shape other than (rows,), raises ``ValueError``; non-finite
+        values become +inf.
         """
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.spec.dimension:
@@ -145,7 +148,11 @@ class BudgetedEvaluator:
         fit = min(n, self.remaining)
         values = np.empty(0)
         if fit > 0:
-            values = np.array(self.spec.objective(xs[:fit]), dtype=float)  # own copy
+            values = self.spec.objective(xs[:fit])
+            if np.iscomplexobj(values):  # the float cast would drop the imaginary part
+                raise ValueError(f"objective of problem {self.spec.id} returned "
+                                 f"complex values for {fit} rows; expected real ones")
+            values = np.array(values, dtype=float)  # own copy
             if values.shape != (fit,):
                 raise ValueError(
                     f"objective of problem {self.spec.id} returned shape "

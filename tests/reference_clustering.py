@@ -12,7 +12,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from hillvallea.hillvalley import (EXTRA_ATTEMPTS_PER_DIM, MAX_TEST_POINTS,
-                                   Cluster, expected_edge_length)
+                                   expected_edge_length)
 from hillvallea.problem import BudgetExhausted, Solution
 
 
@@ -42,7 +42,7 @@ def test_point_count(a, b, edge_length):
 
 
 def _as_clusters(clusters):
-    return [Cluster(np.array([m.x for m in c]), np.array([m.f for m in c]))
+    return [(np.array([m.x for m in c]), np.array([m.f for m in c]))
             for c in clusters]
 
 

@@ -5,20 +5,22 @@ inline. The ten-runs-per-problem campaign is shared across criteria 4-6.
 """
 
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
+from hillvallea import cli
 from hillvallea.amalgam import (TARGET_GAP, GENERATION_CEILING,
                                 TerminationReason, estimate_rate,
                                 run_core_search, time_to_optimum)
 from hillvallea.benchmarks import get_problem
 from hillvallea.cli import main
-from hillvallea.hillvalley import (Cluster, cluster_population, hill_valley_test,
+from hillvallea.hillvalley import (cluster_population, hill_valley_test,
                                    hill_valley_tests)
-from hillvallea.orchestrator import ElitistArchive, run_hillvallea
+from hillvallea.orchestrator import ElitistArchive
 from hillvallea.problem import BudgetedEvaluator, Solution, uniform_init
-from hillvallea.scoring import score
+from hillvallea.scoring import DEFAULT_EPSILON
 
 from conftest import double_well, evaluate_point, sphere, synthetic_spec
 
@@ -114,18 +116,16 @@ class TestCriterion3ClusteringOracle:
 
 @pytest.fixture(scope="module")
 def campaign():
-    """Ten seeded runs of each analytic benchmark, shared by criteria 4-6."""
-    results = {}
-    for pid in range(1, 11):
-        spec = get_problem(pid)
-        runs = []
-        for seed in range(10):
-            report = run_hillvallea(spec, seed)
-            sc = score(report.solutions, spec,
-                       evaluations_used=report.evaluations)
-            runs.append((report, sc))
-        results[pid] = runs
-    return results
+    """Ten seeded runs of each analytic benchmark, shared by criteria 4-6.
+
+    Two worker processes share the runs; each run is deterministic per
+    seed, so the reports and scores are those of a sequential campaign.
+    """
+    pids, seeds = zip(*[(pid, seed) for pid in range(1, 11) for seed in range(10)])
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        runs = list(pool.map(cli._single_run, pids, seeds,
+                             [DEFAULT_EPSILON] * len(pids)))
+    return {pid: runs[10 * (pid - 1):10 * pid] for pid in range(1, 11)}
 
 
 class TestCriterion4BenchmarkReproduction:
@@ -188,7 +188,7 @@ class TestCriterion8TerminationBehavior:
             archive = ElitistArchive(x=elite.x[None, :], f=np.array([elite.f]),
                                      max_generation=20)
             xs = rng.uniform(0.3, 1.7, 12)
-            cluster = Cluster(*e.evaluate_batch(xs[:, None]))
+            cluster = e.evaluate_batch(xs[:, None])
             _, reason, gens = run_core_search(
                 cluster, 20, archive, e, rng, np.zeros(1))
             if reason is TerminationReason.REEXPLORED_NICHE and gens <= 10:
@@ -213,7 +213,7 @@ class TestCriterion8TerminationBehavior:
             archive = ElitistArchive(x=global_elite.x[None, :],
                                      f=np.array([global_elite.f]))
             xs = rng.uniform(0.5, 1.5, 12)
-            cluster = Cluster(*e.evaluate_batch(xs[:, None]))
+            cluster = e.evaluate_batch(xs[:, None])
             _, reason, gens = run_core_search(
                 cluster, 20, archive, e, rng, np.zeros(1))
             if (reason is TerminationReason.LOCAL_MINIMUM_PREDICTED

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import deque
 from dataclasses import replace
 
 import numpy as np
@@ -12,12 +13,11 @@ from hillvallea.amalgam import (CONVERGED_SPREAD, ELITE_TEST_POINTS,
                                 GEN_CAP_MULTIPLIER, REEXPLORATION_PERIOD,
                                 STDDEV_FLOOR_SCALE,
                                 TARGET_GAP, WINDOW,
-                                ConvergenceTracker, TerminationReason,
+                                TerminationReason,
                                 check_convergence_termination,
                                 check_reexploration, estimate_rate,
                                 generation_step, init_from_cluster,
                                 run_core_search, time_to_optimum)
-from hillvallea.hillvalley import Cluster
 from hillvallea.orchestrator import ElitistArchive
 from hillvallea.problem import BudgetedEvaluator, BudgetExhausted, best_of
 
@@ -29,7 +29,7 @@ NO_SPREAD = np.zeros(1)
 
 
 def _cluster(e, xs):
-    return Cluster(*e.evaluate_batch(np.asarray(xs, float)[:, None]))
+    return e.evaluate_batch(np.asarray(xs, float)[:, None])
 
 
 def _archive(elite):
@@ -94,35 +94,35 @@ class TestTimeToOptimum:
 
 
 class TestConvergenceTracker:
-    def _tracker(self, b, values):
-        t = ConvergenceTracker(b=b)
-        for v in values:
-            t.record(v)
-        return t
+    def _history(self, values):
+        # the window as ``run_core_search`` keeps it
+        return deque(values, maxlen=WINDOW + 1)
 
     def test_window_must_be_full(self):
-        t = self._tracker(0.0, [1.0, 0.9, 0.8])
-        with pytest.raises(ValueError):
-            check_convergence_termination(t, 10, 100)
+        # a short window never predicts, even where a full one would
+        h = self._history([0.99 ** k for k in range(WINDOW)])
+        assert not check_convergence_termination(h, 0.0, 10, 1)
+        h.append(0.99 ** WINDOW)
+        assert check_convergence_termination(h, 0.0, 10, 1)
 
     def test_negative_gap_blocks_termination(self):
         # selection mean already below the reference: prediction is moot
-        t = self._tracker(5.0, [6.0, 5.5, 5.2, 5.1, 5.05, 4.9])
-        assert t.full
-        assert not check_convergence_termination(t, 10, 1)
+        h = self._history([6.0, 5.5, 5.2, 5.1, 5.05, 4.9])
+        assert len(h) == WINDOW + 1
+        assert not check_convergence_termination(h, 5.0, 10, 1)
 
     def test_nonpositive_old_gap_blocks_termination(self):
-        t = self._tracker(1.0, [1.0, 1.2, 1.15, 1.1, 1.05, 1.02])
-        assert not check_convergence_termination(t, 10, 1)
+        h = self._history([1.0, 1.2, 1.15, 1.1, 1.05, 1.02])
+        assert not check_convergence_termination(h, 1.0, 10, 1)
 
     def test_requires_five_consecutive_improvements(self):
         # one bump inside the window breaks the improvement streak
-        t = self._tracker(0.0, [1.0, 0.9, 0.95, 0.9, 0.85, 0.8])
-        assert t.full and list(t.history)[2] > list(t.history)[1]
-        assert not check_convergence_termination(t, 10, 1)
+        h = self._history([1.0, 0.9, 0.95, 0.9, 0.85, 0.8])
+        assert len(h) == WINDOW + 1 and h[2] > h[1]
+        assert not check_convergence_termination(h, 0.0, 10, 1)
         # the same window without the bump does terminate
         assert check_convergence_termination(
-            self._tracker(0.0, [1.0, 0.99, 0.98, 0.9, 0.85, 0.8]), 10, 1)
+            self._history([1.0, 0.99, 0.98, 0.9, 0.85, 0.8]), 0.0, 10, 1)
 
     @settings(max_examples=200, deadline=None)
     @given(values=st.lists(st.integers(1, 9).map(float), min_size=WINDOW + 1,
@@ -133,28 +133,28 @@ class TestConvergenceTracker:
         streak = 0
         for old, new in itertools.pairwise(values):
             streak = streak + 1 if new < old else 0
-        t = self._tracker(0.0, values)
-        assert check_convergence_termination(t, 10 ** 9, 1) == (streak >= WINDOW)
+        h = self._history(values)
+        assert check_convergence_termination(h, 0.0, 10 ** 9, 1) == (streak >= WINDOW)
 
     def test_slow_decay_terminates_against_small_cap(self):
         vals = [0.99 ** k for k in range(WINDOW + 1)]
-        t = self._tracker(0.0, vals)
-        assert check_convergence_termination(t, 10, 1)
+        h = self._history(vals)
+        assert check_convergence_termination(h, 0.0, 10, 1)
 
     def test_fast_decay_survives_large_cap(self):
         vals = [10.0 ** -k for k in range(WINDOW + 1)]
-        t = self._tracker(0.0, vals)
-        assert not check_convergence_termination(t, 10, 100)
+        h = self._history(vals)
+        assert not check_convergence_termination(h, 0.0, 10, 100)
 
     def test_threshold_is_multiple_of_generation_cap(self):
         vals = [0.99 ** k for k in range(WINDOW + 1)]
-        t = self._tracker(0.0, vals)
+        h = self._history(vals)
         tto = time_to_optimum(vals[-1], vals[0])
         g = 10
         cap_below = math.floor((g + tto) / GEN_CAP_MULTIPLIER)
         cap_above = math.ceil((g + tto) / GEN_CAP_MULTIPLIER) + 1
-        assert check_convergence_termination(t, g, cap_below)
-        assert not check_convergence_termination(t, g, cap_above)
+        assert check_convergence_termination(h, 0.0, g, cap_below)
+        assert not check_convergence_termination(h, 0.0, g, cap_above)
 
 
 class TestInitFromCluster:
@@ -197,7 +197,7 @@ class TestInitFromCluster:
 
     def test_empty_cluster_rejected(self, sphere_eval):
         with pytest.raises(ValueError):
-            init_from_cluster(Cluster(np.empty((0, 1)), np.empty(0)), 4,
+            init_from_cluster((np.empty((0, 1)), np.empty(0)), 4,
                               sphere_eval, np.random.default_rng(0), NO_SPREAD)
 
 

@@ -16,7 +16,7 @@ from hillvallea.hillvalley import (MAX_TEST_POINTS, cluster_population,
                                    squared_distances)
 from hillvallea.hillvalley import _test_point_counts as point_counts
 from hillvallea.hillvalley import hill_valley_test
-from hillvallea.problem import BudgetedEvaluator, BudgetExhausted, Solution
+from hillvallea.problem import BudgetedEvaluator, BudgetExhausted, Solution, best_of
 
 import reference_clustering as ref
 from conftest import double_well, evaluate_point, sphere, synthetic_spec
@@ -132,15 +132,15 @@ class TestClusterPopulation:
         used = sphere_eval.used
         clusters = cluster_population(pop, sphere_eval)
         assert len(clusters) == 1
-        assert len(clusters[0]) == 1
+        assert len(clusters[0][1]) == 1
         assert sphere_eval.used == used
 
     def test_double_well_two_clusters(self, double_well_eval):
         pop = _pop(double_well_eval, [-1.1, -0.9, 0.9, 1.1])
         clusters = cluster_population(pop, double_well_eval)
         assert len(clusters) == 2
-        for c in clusters:
-            signs = set(np.sign(c.x[:, 0]))
+        for x, _ in clusters:
+            signs = set(np.sign(x[:, 0]))
             assert len(signs) == 1, "cluster straddles the ridge"
 
     def test_convex_single_cluster(self, sphere_eval):
@@ -155,8 +155,8 @@ class TestClusterPopulation:
         used_before = double_well_eval.used
         clusters = cluster_population(pop, double_well_eval)
         test_evals = double_well_eval.used - used_before
-        members_x = np.concatenate([c.x for c in clusters])
-        members_f = np.concatenate([c.f for c in clusters])
+        members_x = np.concatenate([x for x, _ in clusters])
+        members_f = np.concatenate([f for _, f in clusters])
         # every input row appears exactly once, with its fitness; extra
         # members are the accepted test solutions, which never exceed the
         # evaluations spent
@@ -169,9 +169,10 @@ class TestClusterPopulation:
         pop = _pop(double_well_eval, [-1.3, -1.0, 1.2])
         clusters = cluster_population(pop, double_well_eval)
         for c in clusters:
-            first_min = int(np.argmin(c.f))
-            assert c.best_solution.f == c.f.min()
-            assert np.array_equal(c.best_solution.x, c.x[first_min])
+            x, f = c
+            first_min = int(np.argmin(f))
+            assert best_of(*c).f == f.min()
+            assert np.array_equal(best_of(*c).x, x[first_min])
 
     def test_budget_exhaustion_returns_partial(self, double_well_1d):
         rows = []
@@ -214,7 +215,7 @@ def test_box_volume_out_of_float_range(d, width):
             np.random.default_rng(d).uniform(0.0, width, (n, d)))
         clusters = cluster_population(pop, e)
     assert e.used > n
-    assert sum(len(c) for c in clusters) >= n
+    assert sum(len(f) for _, f in clusters) >= n
 
 
 def _wells(X):
@@ -230,10 +231,10 @@ def _many_wells(X):
 
 def _assert_same_clusters(got, want):
     assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g.x.shape == w.x.shape
-        assert g.x.tobytes() == w.x.tobytes()
-        assert g.f.tobytes() == w.f.tobytes()
+    for (gx, gf), (wx, wf) in zip(got, want):
+        assert gx.shape == wx.shape
+        assert gx.tobytes() == wx.tobytes()
+        assert gf.tobytes() == wf.tobytes()
 
 
 def _spec(fn, d, budget=1_000_000):

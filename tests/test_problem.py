@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hillvallea.benchmarks import get_problem
+from hillvallea.orchestrator import run_hillvallea
 from hillvallea.problem import (BudgetedEvaluator, BudgetExhausted,
                                 DimensionMismatch, uniform_init)
 
@@ -123,6 +124,19 @@ def test_column_shaped_objective_output_rejected():
         e.evaluate_batch(np.zeros((2, 1)))
 
 
+@pytest.mark.parametrize("output, error", [
+    (lambda X: X[:, 0] + 1j, "complex values for 2 rows"),
+    (lambda X: list(X[:, 0] + 0j), "complex values for 2 rows"),
+    (lambda X: None, "shape \\(\\) for 2 rows"),
+], ids=["complex", "complex-list", "none"])
+def test_complex_or_missing_objective_output_rejected(output, error):
+    # a complex output used to lose its imaginary part with only a warning
+    e = BudgetedEvaluator(synthetic_spec(output, [-1.0], [1.0], [[0.0]]))
+    with pytest.raises(ValueError, match=error):
+        e.evaluate_batch(np.zeros((2, 1)))
+    assert e.used == 0
+
+
 @pytest.mark.parametrize("maximize", [False, True])
 def test_non_finite_values_count_as_worst(maximize):
     def holes(X):
@@ -142,6 +156,21 @@ class TestProblemSpecValidation:
         # used to be accepted and to give an empty report
         with pytest.raises(ValueError, match="budget must be >= 1"):
             self._spec(budget=budget)
+
+    @pytest.mark.parametrize("name, value", [
+        ("budget", 5000.0), ("budget", "5000"), ("budget", np.float64(5000)),
+        ("dimension", 1.0), ("dimension", np.float64(1.0))])
+    def test_non_integer_size_rejected(self, name, value):
+        # a float used to pass here and fail later, in evaluation or sampling
+        with pytest.raises(ValueError, match=f"{name} must be >= 1 and an integer"):
+            self._spec(**{name: value})
+
+    def test_numpy_integer_sizes_accepted(self):
+        spec = get_problem(4)
+        cast = replace(spec, dimension=np.int64(spec.dimension),
+                       budget=np.int64(3000))
+        assert (run_hillvallea(cast, 0).serialize()
+                == run_hillvallea(replace(spec, budget=3000), 0).serialize())
 
     @pytest.mark.parametrize("name", ["lower", "upper"])
     def test_bound_length_must_match_dimension(self, name):
