@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import numbers
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -33,11 +34,17 @@ class CampaignConfig:
     reports_dir: str | None = None
 
     def __post_init__(self):
-        if not self.problem_ids:
+        ids = self.problem_ids
+        if not ids:
             raise ValueError("no problems selected")
-        check_int("runs", 1, self.runs)
-        check_int("jobs", 1, self.jobs)
-        check_int("seed", 0, self.base_seed)  # numpy rejects negative seeds
+        repeated = [pid for i, pid in enumerate(ids) if pid in ids[:i]]
+        if repeated:
+            raise ValueError(f"problem {repeated[0]} is selected more than once")
+        for name, minimum, value in (("runs", 1, self.runs), ("jobs", 1, self.jobs),
+                                     ("seed", 0, self.base_seed)):  # numpy: seed >= 0
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            check_int(name, minimum, value)
         check_epsilon(self.epsilon)
 
 

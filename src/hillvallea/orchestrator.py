@@ -92,28 +92,29 @@ def archive_insert(a: ElitistArchive, s: Solution, gens: int,
     return "discarded"
 
 
-def postprocess_archive(a: ElitistArchive) -> list[Solution]:
-    """Keep only elites within the fitness tolerance of the best one."""
+def postprocess_archive(a: ElitistArchive) -> tuple[np.ndarray, np.ndarray]:
+    """Keep only elites within the fitness tolerance of the best one, as a
+    population pair; an empty archive gives ``(0, 0)`` and ``(0,)`` arrays."""
     if not len(a):
-        return []
-    keep = np.flatnonzero(a.f <= a.best_fitness + POSTPROCESS_TOLERANCE)
-    return [Solution(a.x[i].copy(), float(a.f[i])) for i in keep]
+        return np.empty((0, 0)), np.empty(0)
+    keep = a.f <= a.best_fitness + POSTPROCESS_TOLERANCE
+    return a.x[keep], a.f[keep]
 
 
 @dataclass
 class RunReport:
-    """Outcome of one HillVallEA run, published fitness orientation."""
+    """Outcome of one HillVallEA run: the reported population pair
+    ``solutions = (x, f)``, with ``f`` in published orientation."""
 
     problem_id: int
     seed: int
     evaluations: int
-    solutions: list[Solution]  # f in published orientation
+    solutions: tuple[np.ndarray, np.ndarray]
 
     def serialize(self) -> str:
         lines = [f"{self.problem_id} {self.seed} {self.evaluations}"]
-        for s in self.solutions:
-            coords = " ".join(repr(float(v)) for v in s.x)
-            lines.append(f"{coords} {repr(float(s.f))}")
+        for x, f in zip(*self.solutions):
+            lines.append(" ".join(repr(float(v)) for v in (*x, f)))
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -125,19 +126,16 @@ class RunReport:
         if len(head) != 3:
             raise ValueError("line 1: expected 'problem_id seed evaluations'")
         problem_id, seed, evaluations = (int(v) for v in head)
-        solutions = []
-        width = None
+        rows = []
         for lineno, ln in enumerate(lines[1:], start=2):
             parts = ln.split()
             if len(parts) < 2:
                 raise ValueError(f"line {lineno}: expected coordinates and fitness")
-            if width is None:
-                width = len(parts)
-            elif len(parts) != width:
+            if rows and len(parts) != len(rows[0]):
                 raise ValueError(f"line {lineno}: inconsistent coordinate count")
-            values = [float(v) for v in parts]
-            solutions.append(Solution(np.array(values[:-1]), values[-1]))
-        return cls(problem_id, seed, evaluations, solutions)
+            rows.append([float(v) for v in parts])
+        table = np.array(rows) if rows else np.empty((0, 1))
+        return cls(problem_id, seed, evaluations, (table[:, :-1], table[:, -1]))
 
 
 # A wrapper only so that perfbench's ledger can wrap the pre-check apart
@@ -182,7 +180,6 @@ def run_hillvallea(spec: ProblemSpec, seed: int) -> RunReport:
         if not len(archive):
             archive.add(e.best, 0)
 
-    reported = postprocess_archive(archive)
-    published = [Solution(s.x, float(spec.to_published(s.f))) for s in reported]
-    return RunReport(problem_id=spec.id, seed=seed,
-                     evaluations=e.used, solutions=published)
+    x, f = postprocess_archive(archive)
+    return RunReport(problem_id=spec.id, seed=seed, evaluations=e.used,
+                     solutions=(x, spec.to_published(f)))

@@ -6,9 +6,9 @@ negation before comparing against declared optima.
 
 A population is one pair ``(x, f)``: an (n, d) matrix whose rows are the
 solutions and the (n,) vector of their internal fitness. The evaluator,
-clustering, core search and archive all pass populations in this form;
-``Solution`` holds a single point (a test endpoint, a search's best, an
-elite, a reported optimum).
+clustering, core search, archive and run report all pass populations in
+this form; ``Solution`` holds a single point (a test endpoint, a search's
+best, an elite, the evaluator's best).
 """
 
 from __future__ import annotations

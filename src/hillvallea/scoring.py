@@ -1,10 +1,12 @@
 """Peak ratio and static F1 for a reported solution set.
 
-A reported solution matches a known optimum when its published fitness is
-within epsilon of the optimal value and it lies within the problem's niche
-radius of that optimum. Matching is greedy by ascending fitness error with
-each optimum claimable once. A solution with a non-finite fitness or
-coordinate matches no optimum.
+The reported set is one population pair ``(x, f)``: an (n, d) matrix of
+coordinates and the (n,) vector of published fitness, as in
+``RunReport.solutions``. A reported solution matches a known optimum when
+its published fitness is within epsilon of the optimal value and it lies
+within the problem's niche radius of that optimum. Matching is greedy by
+ascending fitness error with each optimum claimable once. A solution with
+a non-finite fitness or coordinate matches no optimum.
 
 ``static_f1`` is, despite its name, the precision: the share of reported
 solutions that match an optimum. The competition's F1 is ``f1_harmonic``.
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import ProblemSpec, Solution
+from .problem import ProblemSpec
 
 DEFAULT_EPSILON = 1e-5
 
@@ -39,43 +41,36 @@ class Summary:
     mean_evaluations: float
 
 
-def score(reported: list[Solution], spec: ProblemSpec,
+def score(reported: tuple[np.ndarray, np.ndarray], spec: ProblemSpec,
           epsilon: float = DEFAULT_EPSILON,
           evaluations_used: int = 0) -> Score:
-    """Score published-orientation solutions against the known optima.
+    """Score a published-orientation population pair ``(x, f)`` against the
+    known optima.
 
-    Raises ``ValueError`` when a solution's coordinate count is not the
+    Raises ``ValueError`` when the rows' coordinate count is not the
     problem's dimension.
     """
-    for sol in reported:
-        if len(sol.x) != spec.dimension:
-            raise ValueError(f"report solutions have {len(sol.x)} coordinates; "
-                             f"problem {spec.id} has dimension {spec.dimension}")
-    n_opt = spec.num_global_optima
-    if not reported:
+    x, f = reported
+    if not len(f):
         return Score(0, 0.0, 0.0, 0.0, evaluations_used)
+    if x.shape[1] != spec.dimension:
+        raise ValueError(f"report solutions have {x.shape[1]} coordinates; "
+                         f"problem {spec.id} has dimension {spec.dimension}")
+    err = np.abs(f - spec.optimum_fitness)
+    rows = np.flatnonzero((err <= epsilon) & np.isfinite(x).all(axis=1))
+    dists = np.linalg.norm(spec.known_optima - x[rows, None, :], axis=2)
+    i, j = np.nonzero(dists <= spec.niche_radius)
+    i = rows[i]
 
-    pairs = []  # (fitness error, solution index, optimum index)
-    for i, sol in enumerate(reported):
-        err = abs(sol.f - spec.optimum_fitness)
-        if not (err <= epsilon and np.isfinite(sol.x).all()):
-            continue
-        dists = np.linalg.norm(spec.known_optima - sol.x, axis=1)
-        for j in np.flatnonzero(dists <= spec.niche_radius):
-            pairs.append((err, i, int(j)))
-    pairs.sort()
-
-    claimed_opt: set[int] = set()
-    claimed_sol: set[int] = set()
-    for err, i, j in pairs:
-        if i in claimed_sol or j in claimed_opt:
-            continue
-        claimed_sol.add(i)
-        claimed_opt.add(j)
+    claimed_sol, claimed_opt = set(), set()
+    for _, s, o in sorted(zip(err[i].tolist(), i.tolist(), j.tolist())):
+        if s not in claimed_sol and o not in claimed_opt:
+            claimed_sol.add(s)
+            claimed_opt.add(o)
 
     peaks = len(claimed_opt)
-    pr = peaks / n_opt
-    precision = len(claimed_sol) / len(reported)
+    pr = peaks / spec.num_global_optima
+    precision = len(claimed_sol) / len(f)
     harmonic = (2.0 * pr * precision / (pr + precision)) if (pr + precision) > 0 else 0.0
     return Score(peaks, pr, precision, harmonic, evaluations_used)
 

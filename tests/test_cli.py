@@ -1,6 +1,7 @@
 import csv
 import io
 
+import numpy as np
 import pytest
 
 from hillvallea import cli
@@ -61,6 +62,28 @@ class TestCampaignConfig:
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="seed must be >= 0"):
             CampaignConfig(problem_ids=[1], base_seed=-1)
+
+    @pytest.mark.parametrize("field, name", [("runs", "runs"), ("jobs", "jobs"),
+                                             ("base_seed", "seed")])
+    @pytest.mark.parametrize("value", [1.5, 2.0, np.float64(3.0), "2", None])
+    def test_rejects_non_integer_counts(self, field, name, value):
+        # 1.5 used to pass int() and fail later inside cmd_run or numpy
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            CampaignConfig(problem_ids=[3], **{field: value})
+
+    @pytest.mark.parametrize("field", ["runs", "jobs", "base_seed"])
+    def test_accepts_numpy_integers(self, field):
+        config = CampaignConfig(problem_ids=[3], **{field: np.int64(2)})
+        assert getattr(config, field) == 2
+
+    @pytest.mark.parametrize("ids, repeated", [([3, 1, 3], 3), ([2, 2], 2),
+                                               ([1, 4, 5, 4, 1], 4)])
+    def test_rejects_repeated_problem_ids(self, ids, repeated):
+        # [3, 1, 3] used to run problem 3 twice at each seed and write its
+        # CSV row twice
+        with pytest.raises(ValueError, match=f"problem {repeated} is selected "
+                                              f"more than once"):
+            CampaignConfig(problem_ids=ids, runs=1)
 
 
 class TestPoolWorkers:

@@ -99,27 +99,38 @@ class TestPostprocess:
         return a
 
     def test_filters_local_optima(self):
-        kept = postprocess_archive(self._archive([0.0, 0.0, 0.3]))
-        assert len(kept) == 2
-        assert all(s.f == 0.0 for s in kept)
+        x, f = postprocess_archive(self._archive([0.0, 0.0, 0.3]))
+        assert x.tolist() == [[0.0], [1.0]]
+        assert f.tolist() == [0.0, 0.0]
 
     def test_keeps_all_when_equal(self):
-        assert len(postprocess_archive(self._archive([0.5] * 4))) == 4
+        x, f = postprocess_archive(self._archive([0.5] * 4))
+        assert x.shape == (4, 1)
+        assert len(f) == 4
 
     def test_tolerance_boundary(self):
-        kept = postprocess_archive(self._archive([0.0, 1e-5, 2e-5]))
-        assert len(kept) == 2
+        x, f = postprocess_archive(self._archive([0.0, 1e-5, 2e-5]))
+        assert x.shape == (2, 1)
+        assert f.tolist() == [0.0, 1e-5]
 
     def test_empty_archive(self):
-        assert postprocess_archive(ElitistArchive()) == []
+        x, f = postprocess_archive(ElitistArchive())
+        assert x.shape == (0, 0)
+        assert f.shape == (0,)
+
+    def test_kept_rows_do_not_alias_the_archive(self):
+        a = self._archive([0.0, 0.3])
+        x, f = postprocess_archive(a)
+        a.replace(0, Solution(np.array([9.0]), -1.0), 1)
+        assert x.tolist() == [[0.0]]
+        assert f.tolist() == [0.0]
 
 
 class TestRunReport:
     def _report(self):
         return RunReport(problem_id=4, seed=11, evaluations=12345,
-                         solutions=[Solution(np.array([3.0, 2.0]), 200.0),
-                                    Solution(np.array([-2.805118, 3.131312]),
-                                             199.99999999)])
+                         solutions=(np.array([[3.0, 2.0], [-2.805118, 3.131312]]),
+                                    np.array([200.0, 199.99999999])))
 
     def test_roundtrip_is_exact(self):
         r = self._report()
@@ -127,10 +138,15 @@ class TestRunReport:
         assert back.problem_id == r.problem_id
         assert back.seed == r.seed
         assert back.evaluations == r.evaluations
-        assert len(back.solutions) == 2
-        for a, b in zip(back.solutions, r.solutions):
-            assert a.f == b.f  # bitwise via repr
-            assert np.array_equal(a.x, b.x)
+        assert back.solutions[0].shape == (2, 2)
+        assert np.array_equal(back.solutions[0], r.solutions[0])
+        assert np.array_equal(back.solutions[1], r.solutions[1])  # bitwise via repr
+
+    def test_header_only_report_is_empty(self):
+        r = RunReport.parse("4 11 100\n")
+        assert r.solutions[0].shape == (0, 0)
+        assert r.solutions[1].shape == (0,)
+        assert r.serialize() == "4 11 100\n"
 
     def test_empty_text_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -150,12 +166,13 @@ class TestRunReport:
         min_size=0, max_size=5))
     @settings(max_examples=30, deadline=None)
     def test_roundtrip_any_floats(self, coords):
-        r = RunReport(1, 0, 9,
-                      [Solution(np.array(c[:-1] + [0.0]), c[-1]) for c in coords])
+        r = RunReport(1, 0, 9, (np.array([c[:-1] + [0.0] for c in coords]).reshape(-1, 2),
+                                np.array([c[-1] for c in coords])))
         back = RunReport.parse(r.serialize())
-        for a, b in zip(back.solutions, r.solutions):
-            assert a.f == b.f
-            assert np.array_equal(a.x, b.x)
+        assert len(back.solutions[1]) == len(coords)
+        if coords:  # a header-only report has no width to keep
+            assert np.array_equal(back.solutions[0], r.solutions[0])
+        assert np.array_equal(back.solutions[1], r.solutions[1])
 
     @given(d=st.integers(1, 3), data=st.data(),
            head=st.tuples(*[st.integers(0, 2 ** 40)] * 3))
@@ -164,13 +181,15 @@ class TestRunReport:
         finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
         rows = data.draw(st.lists(st.lists(finite, min_size=d + 1, max_size=d + 1),
                                   max_size=20))
-        r = RunReport(*head, [Solution(np.array(row[:d]), row[d]) for row in rows])
+        table = np.array(rows).reshape(len(rows), d + 1)
+        r = RunReport(*head, (table[:, :d], table[:, d]))
         back = RunReport.parse(r.serialize())
         assert (back.problem_id, back.seed, back.evaluations) == head
-        assert len(back.solutions) == len(rows)
+        assert len(back.solutions[1]) == len(rows)
         for a, b in zip(back.solutions, r.solutions):
-            assert a.x.tobytes() == b.x.tobytes()  # -0.0 and 0.0 differ here
-            assert np.float64(a.f).tobytes() == np.float64(b.f).tobytes()
+            assert a.tobytes() == b.tobytes()  # -0.0 and 0.0 differ here
+        if rows:
+            assert back.solutions[0].shape == (len(rows), d)
 
 
 class TestFullRun:
@@ -181,7 +200,9 @@ class TestFullRun:
 
     def test_finds_both_wells(self):
         report = run_hillvallea(self._spec(), seed=0)
-        xs = sorted(s.x[0] for s in report.solutions)
+        x, _ = report.solutions
+        assert x.shape[1] == 1
+        xs = sorted(x[:, 0])
         assert len(xs) == 2
         assert xs[0] == pytest.approx(-1.0, abs=1e-4)
         assert xs[1] == pytest.approx(1.0, abs=1e-4)
@@ -205,7 +226,7 @@ class TestFullRun:
         spec = self._spec()
         report = run_hillvallea(spec, seed=3)
         e = BudgetedEvaluator(spec)
-        sols = [Solution(s.x, spec.to_internal(s.f)) for s in report.solutions]
+        sols = [Solution(x, spec.to_internal(f)) for x, f in zip(*report.solutions)]
         for i in range(len(sols)):
             for j in range(i + 1, len(sols)):
                 assert not hill_valley_test(sols[i], sols[j], 5, e).same_niche
@@ -215,7 +236,8 @@ class TestFullRun:
         spec = self._spec(budget=10)
         report = run_hillvallea(spec, seed=4)
         assert report.evaluations <= 10
-        assert len(report.solutions) == 1
+        assert report.solutions[0].shape == (1, 1)
+        assert len(report.solutions[1]) == 1
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_nan_region_counts_as_worst(self, seed):
@@ -227,14 +249,15 @@ class TestFullRun:
         spec = synthetic_spec(nan_left, [-2.0], [2.0], [[1.0]], budget=20000,
                               radius=0.2)
         report = run_hillvallea(spec, seed=seed)
-        assert [s.x[0] for s in report.solutions] == [pytest.approx(1.0, abs=1e-4)]
+        assert report.solutions[0].tolist() == [[pytest.approx(1.0, abs=1e-4)]]
 
     def test_published_orientation(self):
         # synthetic specs minimize, so published fitness equals internal
         spec = self._spec()
         report = run_hillvallea(spec, seed=5)
-        for s in report.solutions:
-            assert s.f == pytest.approx(0.0, abs=1e-6)
+        f = report.solutions[1]
+        assert len(f)
+        assert f.tolist() == [pytest.approx(0.0, abs=1e-6)] * len(f)
 
 
 def _wells(X):
@@ -305,6 +328,12 @@ class TestRunInvariants:
         assert again.serialize() == report.serialize()
 
 
+def _rows(x):
+    """The shape and bytes of a matrix of reported rows: equal for two
+    matrices with the same rows, bit for bit."""
+    return x.shape, x.tobytes()
+
+
 def _precheck_spans(spec, seed):
     """``(used before, used after, reported)`` of every pre-check of a run
     that evaluates, where ``reported`` is what the run would report from
@@ -314,8 +343,8 @@ def _precheck_spans(spec, seed):
 
     def spy(cluster_best, archive, e):
         before = e.used
-        reported = [Solution(s.x, spec.to_published(s.f))
-                    for s in postprocess_archive(archive)]
+        x, f = postprocess_archive(archive)
+        reported = (x, spec.to_published(f))
         try:
             return real(cluster_best, archive, e)
         finally:
@@ -345,11 +374,10 @@ class TestPrecheckBudget:
         report = run_hillvallea(replace(spec, budget=budget), seed)
         at_start = run_hillvallea(replace(spec, budget=start), seed)
         assert report.evaluations == budget
-        assert [s.x.tobytes() for s in report.solutions] == \
-            [s.x.tobytes() for s in at_start.solutions] == \
-            [s.x.tobytes() for s in reported]
-        assert [s.f for s in report.solutions] == \
-            [s.f for s in at_start.solutions] == [s.f for s in reported]
+        assert _rows(report.solutions[0]) == _rows(at_start.solutions[0]) == \
+            _rows(reported[0])
+        assert report.solutions[1].tolist() == at_start.solutions[1].tolist() == \
+            reported[1].tolist()
 
 
 def _recorded_run(spec, seed):
@@ -405,8 +433,7 @@ class TestBudgetCut:
             want = finished[-1]
         else:
             i = int(np.argmin(f[:cut]))
-            want = [Solution(rows[i], f[i])]
+            want = (rows[i:i + 1], f[i:i + 1])
         assert report.evaluations == cut
-        assert [s.x.tobytes() for s in report.solutions] == \
-            [s.x.tobytes() for s in want]
-        assert [s.f for s in report.solutions] == [s.f for s in want]
+        assert _rows(report.solutions[0]) == _rows(want[0])
+        assert report.solutions[1].tolist() == want[1].tolist()
