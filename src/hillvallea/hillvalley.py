@@ -58,7 +58,9 @@ and the test points in evaluation order, gives the same member order.
 Neighbor order. The neighbors of rank i are the solutions ranked before
 i in its KD-tree shortlist (row i of ``query(coords, k)`` with
 k = 8 * (1 + d)), in shortlist order, then, if the walk gets past them,
-the other better solutions by distance.
+the other better solutions by distance. When k is at least the
+population size n, the row holds every point (cKDTree pads it with
+index n at distance inf), so no walk gets past it.
 
 Only two readers need a shortlist: the first test needs each solution's
 nearest better neighbor (the first entry ``j < i`` of its row), and the
@@ -76,14 +78,12 @@ one batched ``query(coords[idx], k)``, which gives each point the row
 the whole-population query gives it.
 
 Past the shortlist, the order is ``argsort(kind="stable")`` of the
-squared distances ``((coords[:i] - coords[i]) ** 2).sum(axis=1)``,
-produced a chunk at a time by ``nearest_first``, so a walk that stops
-early costs O(i) instead of a full sort. The squared distances are those
-bits, computed by ``squared_distances``: for d < 8 numpy adds a row's
-squares left to right, so they are added a column at a time over a
-column-major copy of the coordinates, made once per clustering; from
-d = 8 on numpy sums pairwise, and the rows are reduced as numpy reduces
-them. A root's walk is dropped as soon as the root is decided.
+squared distances to the better solutions, produced a chunk at a time
+by ``nearest_first``, so a walk that stops early costs O(i) instead of a
+full sort. ``squared_distances`` adds each row's squares left to right,
+a column at a time over a column-major copy of the coordinates, made
+once per clustering, so the order is the same in every dimension. A
+root's walk is dropped as soon as the root is decided.
 """
 
 from __future__ import annotations
@@ -212,17 +212,11 @@ def nearest_first(points: np.ndarray, x: np.ndarray,
 
 
 def squared_distances(points: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``((p - x) ** 2).sum(axis=1)`` for ``p``, a C-ordered copy of
-    ``points``, bit for bit, whatever the layout of ``points``.
-
-    numpy sums a row of fewer than eight terms left to right, so for
-    d < 8 the squares are added a column at a time, which is the same
-    sum and fast when ``points`` is column-major. From eight terms on,
-    numpy sums pairwise, in an order that depends on the layout, so the
-    rows are reduced as numpy reduces them in C order.
-    """
-    if len(x) >= 8:
-        return ((np.ascontiguousarray(points) - x) ** 2).sum(axis=1)
+    """The squared distances from ``x`` to the rows of ``points``, each
+    row's squares added left to right, a column at a time, which is fast
+    when ``points`` is column-major. Below eight columns this is numpy's
+    ``((points - x) ** 2).sum(axis=1)`` bit for bit; numpy sums longer
+    rows pairwise."""
     cols = points.T
     d = (cols[0] - x[0]) ** 2
     for k in range(1, len(x)):
@@ -315,26 +309,21 @@ def cluster_population(pop: tuple[np.ndarray, np.ndarray],
     # A KD-tree shortlist avoids the O(n^2 d) brute-force distance pass;
     # the rare solution that exhausts its shortlist goes on to the
     # distances to all its better predecessors.
-    shortlist_k = min(n, 8 * max_attempts)
-    tree = cKDTree(coords) if n > shortlist_k else None
-    if tree is not None:
-        nearest, rows = nearest_better(tree, coords, shortlist_k)
-    else:
-        nearest, rows = np.full(n, -1), {}
+    shortlist_k = 8 * max_attempts
+    tree = cKDTree(coords)
+    nearest, rows = nearest_better(tree, coords, shortlist_k)
 
     def better_neighbors(i):
         """Rank ``i``'s better neighbors in walk order, as index arrays."""
-        seen = None
-        if tree is not None:
-            row = rows[i]
-            row = row[row < i]
-            yield row
-            if len(row) == i:
-                return
-            seen = np.zeros(i, dtype=bool)
-            seen[row] = True
+        row = rows[i]
+        row = row[row < i]
+        yield row
+        if len(row) == i:
+            return
+        seen = np.zeros(i, dtype=bool)
+        seen[row] = True
         for chunk in nearest_first(columns[:i], coords[i], 2 * shortlist_k):
-            yield chunk if seen is None else chunk[~seen[chunk]]
+            yield chunk[~seen[chunk]]
 
     # Where the shortlist has no better neighbor, the first one past it.
     for i in np.flatnonzero(nearest[1:] < 0) + 1:
@@ -435,10 +424,10 @@ def cluster_population(pop: tuple[np.ndarray, np.ndarray],
             break
         root[:] = jumped
     roots = ranks[~passed]
-    if tree is not None:  # the walks read the roots' full shortlists
-        fetch = roots[[r not in rows for r in roots.tolist()]]
-        rows.update(zip(fetch.tolist(),
-                        shortlist_rows(tree, coords, fetch, shortlist_k)))
+    # the walks read the roots' full shortlists
+    fetch = roots[[r not in rows for r in roots.tolist()]]
+    rows.update(zip(fetch.tolist(),
+                    shortlist_rows(tree, coords, fetch, shortlist_k)))
     label_roots(roots)
     label[:] = label[root]
 

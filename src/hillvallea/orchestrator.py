@@ -111,6 +111,11 @@ class RunReport:
     evaluations: int
     solutions: tuple[np.ndarray, np.ndarray]
 
+    def __eq__(self, other) -> bool:
+        """Reports are equal when they serialize alike (the generated
+        ``==`` would compare the arrays element-wise)."""
+        return isinstance(other, RunReport) and self.serialize() == other.serialize()
+
     def serialize(self) -> str:
         lines = [f"{self.problem_id} {self.seed} {self.evaluations}"]
         for x, f in zip(*self.solutions):

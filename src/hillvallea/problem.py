@@ -75,14 +75,20 @@ class ProblemSpec:
         if self.known_optima.shape[1:] != (d,) or not len(self.known_optima):
             raise ValueError(f"problem {self.id}: known_optima has shape "
                              f"{self.known_optima.shape}, expected (k, {d}), k >= 1")
+        if not np.all(np.isfinite(self.known_optima)):
+            raise ValueError(f"problem {self.id}: known_optima must be finite")
         if not np.isfinite(self.optimum_fitness):
             raise ValueError(f"problem {self.id}: optimum_fitness must be finite, "
                              f"got {self.optimum_fitness}")
         if not (np.isfinite(self.niche_radius) and self.niche_radius > 0):
             raise ValueError(f"problem {self.id}: niche_radius must be finite "
                              f"and > 0, got {self.niche_radius}")
-        if not (np.all(np.isfinite(self.lower)) and np.all(np.isfinite(self.upper))
-                and np.all(self.lower < self.upper)):
+        # The squared diagonal is finite only when both bounds are, and when
+        # no distance across the box overflows: an inf distance would let a
+        # hill-valley test pass without evaluating anything.
+        with np.errstate(over="ignore", invalid="ignore"):
+            diagonal = ((self.upper - self.lower) ** 2).sum()
+        if not (np.isfinite(diagonal) and np.all(self.lower < self.upper)):
             raise ValueError(f"invalid bounds for problem {self.id}")
 
     @property

@@ -59,19 +59,19 @@ def cluster_population(pop, e):
     cluster_of = [0]
     max_attempts = 1 + d * EXTRA_ATTEMPTS_PER_DIM
     n = len(ranked)
-    shortlist_k = min(n, 8 * max_attempts)
-    nn = cKDTree(coords).query(coords, k=shortlist_k)[1] if n > shortlist_k else None
+    # rows of a population smaller than the shortlist end in pads (index n)
+    nn = cKDTree(coords).query(coords, k=8 * max_attempts)[1]
 
     def better_neighbors(i):
         seen = set()
-        if nn is not None:
-            for j in nn[i]:
-                if j < i:
-                    seen.add(int(j))
-                    yield int(j)
-            if len(seen) == i:
-                return
-        dists = ((coords[:i] - coords[i]) ** 2).sum(axis=1)
+        for j in nn[i]:
+            if j < i:
+                seen.add(int(j))
+                yield int(j)
+        if len(seen) == i:
+            return
+        # each row's squares added left to right
+        dists = sum((coords[:i, k] - coords[i, k]) ** 2 for k in range(d))
         for j in np.argsort(dists, kind="stable"):
             if int(j) not in seen:
                 yield int(j)

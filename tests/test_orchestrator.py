@@ -142,6 +142,14 @@ class TestRunReport:
         assert np.array_equal(back.solutions[0], r.solutions[0])
         assert np.array_equal(back.solutions[1], r.solutions[1])  # bitwise via repr
 
+    def test_equality_compares_the_serialized_text(self):
+        # the generated ``==`` raised on two reports of two or more rows
+        text = self._report().serialize()
+        assert RunReport.parse(text) == RunReport.parse(text)
+        x, f = self._report().solutions
+        x[1, 0] = np.nextafter(x[1, 0], np.inf)  # one ulp
+        assert RunReport(4, 11, 12345, (x, f)) != RunReport.parse(text)
+
     def test_header_only_report_is_empty(self):
         r = RunReport.parse("4 11 100\n")
         assert r.solutions[0].shape == (0, 0)

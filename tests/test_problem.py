@@ -210,8 +210,27 @@ class TestProblemSpecValidation:
         with pytest.raises(ValueError, match="optimum_fitness must be finite"):
             self._spec(optimum_fitness=fopt)
 
+    # At +-1e300 the distance between two test endpoints used to overflow,
+    # and clustering then accepted the pair without evaluating it; at
+    # +-1e308 the width itself overflows. The check may not warn (a
+    # RuntimeWarning fails the suite).
     @pytest.mark.parametrize("lower, upper", [([1.0], [1.0]), ([2.0], [1.0]),
-                                              ([-np.inf], [1.0])])
+                                              ([-np.inf], [1.0]),
+                                              ([-1e300], [1e300]),
+                                              ([-1e308], [1e308]),
+                                              ([1.0], [np.inf]),
+                                              ([np.inf], [np.inf]),
+                                              ([np.nan], [1.0])])
     def test_empty_or_infinite_box_rejected(self, lower, upper):
         with pytest.raises(ValueError, match="invalid bounds"):
             self._spec(lower=np.array(lower), upper=np.array(upper))
+
+    @pytest.mark.parametrize("optimum", [[[np.inf]], [[np.nan]]])
+    def test_known_optima_must_be_finite(self, optimum):
+        # used to build, with an optimum no report could ever claim
+        with pytest.raises(ValueError, match="known_optima must be finite"):
+            self._spec(known_optima=np.array(optimum))
+
+    def test_box_with_a_finite_squared_diagonal_builds(self):
+        spec = self._spec(lower=np.array([-1e150]), upper=np.array([1e150]))
+        assert spec.upper.tolist() == [1e150]
