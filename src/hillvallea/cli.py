@@ -112,12 +112,16 @@ def pool_workers(jobs: int, n_tasks: int, cpu_count: int | None) -> int:
     return max(1, min(jobs, n_tasks, cpu_count or 1))
 
 
+def _fail(message: object) -> int:
+    """Report a command failure: one ``error:`` line on stderr, status 1."""
+    print(f"error: {message}", file=sys.stderr)
+    return 1
+
+
 def cmd_list(problem_ids: list[int] | None = None, out=None) -> int:
-    out = out if out is not None else sys.stdout
     for pid in problem_ids or ():
         if pid not in benchmarks.ALL_IDS:
-            print(f"error: unknown problem id {pid}", file=sys.stderr)
-            return 1
+            return _fail(f"unknown problem id {pid}")
     for entry in benchmarks.catalog():
         if problem_ids and entry.id not in problem_ids:
             continue
@@ -129,19 +133,16 @@ def cmd_list(problem_ids: list[int] | None = None, out=None) -> int:
 
 
 def cmd_run(config: CampaignConfig, out=None) -> int:
-    out = out if out is not None else sys.stdout
     for pid in config.problem_ids:
         try:
             get_problem(pid)
         except (UnavailableProblem, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+            return _fail(exc)
     csv_path = Path(config.out_path)
     if csv_path.is_dir() or not csv_path.parent.is_dir():
         why = ("it is a directory" if csv_path.is_dir()
                else f"{csv_path.parent} is not a directory")
-        print(f"error: cannot write {csv_path}: {why}", file=sys.stderr)
-        return 1
+        return _fail(f"cannot write {csv_path}: {why}")
     tasks = [(pid, config.base_seed + i, config.epsilon)
              for pid in config.problem_ids for i in range(config.runs)]
     reports = {}
@@ -150,14 +151,12 @@ def cmd_run(config: CampaignConfig, out=None) -> int:
         try:
             rdir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
-            print(f"error: cannot create {rdir}: {exc}", file=sys.stderr)
-            return 1
+            return _fail(f"cannot create {rdir}: {exc}")
         reports = {(pid, seed): rdir / f"problem{pid:02d}_seed{seed}.txt"
                    for pid, seed, _ in tasks}
     for path in reports.values():
         if path.is_dir():
-            print(f"error: cannot write {path}: it is a directory", file=sys.stderr)
-            return 1
+            return _fail(f"cannot write {path}: it is a directory")
 
     workers = pool_workers(config.jobs, len(tasks), os.cpu_count())
     if workers > 1:
@@ -190,8 +189,7 @@ def cmd_run(config: CampaignConfig, out=None) -> int:
             writer.writerow(CSV_HEADER)
             writer.writerows(rows)
     except OSError as exc:
-        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-        return 1
+        return _fail(f"cannot write {path}: {exc}")
     for pid, agg in aggs.items():
         print(f"problem {pid}: mean PR = {agg.mean_peak_ratio:.4f}, "
               f"mean static F1 = {agg.mean_static_f1:.4f} over {agg.runs} runs",
@@ -207,26 +205,19 @@ def _single_run_star(task):
 
 def cmd_score(report_path: str, problem_id: int,
               epsilon: float = DEFAULT_EPSILON, out=None) -> int:
-    out = out if out is not None else sys.stdout
     try:
         spec = get_problem(problem_id)
         report = RunReport.parse(Path(report_path).read_text())
     except (OSError, ValueError, UnavailableProblem) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(exc)
     if report.problem_id != problem_id:
-        print(f"error: report is for problem {report.problem_id}, "
-              f"not {problem_id}", file=sys.stderr)
-        return 1
+        return _fail(f"report is for problem {report.problem_id}, not {problem_id}")
     if report.evaluations < 0:
-        print(f"error: report has a negative evaluation count "
-              f"({report.evaluations})", file=sys.stderr)
-        return 1
+        return _fail(f"report has a negative evaluation count ({report.evaluations})")
     try:
         sc = score(report.solutions, spec, epsilon, report.evaluations)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(exc)
     print(f"peak_ratio = {sc.peak_ratio}", file=out)
     print(f"static_f1 = {sc.static_f1}", file=out)
     print(f"f1_harmonic = {sc.f1_harmonic}", file=out)
@@ -270,9 +261,8 @@ def main(argv: list[str] | None = None) -> int:
             problem_ids=args.problems, runs=args.runs, base_seed=args.seed,
             epsilon=args.epsilon, out_path=args.out, jobs=args.jobs,
             reports_dir=args.reports_dir))
-    if args.command == "score":
-        return cmd_score(args.report, args.problem, args.epsilon)
-    return 2
+    # the subcommand is required, so the only one left is "score"
+    return cmd_score(args.report, args.problem, args.epsilon)
 
 
 if __name__ == "__main__":

@@ -63,19 +63,21 @@ population size n, the row holds every point (cKDTree pads it with
 index n at distance inf), so no walk gets past it.
 
 Only two readers need a shortlist: the first test needs each solution's
-nearest better neighbor (the first entry ``j < i`` of its row), and the
-fallback walks need the rows of the roots. So every point is first
-queried with only ``NARROW_K`` neighbors, and the first ``j < i`` of that
-narrow row is trusted when its distance is below the row's last one and
-no other entry of the row has its distance. Then every point nearer than
-``j`` is in the narrow row, ahead of ``j``, and is not better, and no
-other point lies at ``j``'s distance, so ``j`` is also the first better
-entry of the full row, however the tree orders ties. (The narrow row is
-no prefix of the full one: cKDTree orders tied neighbors differently for
-different k, so nothing else is read from it.) The other points, and the
-roots once the first tests have picked them, get their full rows from
-one batched ``query(coords[idx], k)``, which gives each point the row
-the whole-population query gives it.
+nearest better neighbor (the first entry ``j < i`` of its row, or, when
+the row has none, the nearest better solution past it), and the fallback
+walks need the rows of the roots. So every point is first queried with
+only ``NARROW_K`` neighbors, and the first ``j < i`` of that narrow row
+is trusted when its distance is below the row's last one and no other
+entry of the row has its distance. Then every point nearer than ``j`` is
+in the narrow row, ahead of ``j``, and is not better, and no other point
+lies at ``j``'s distance, so ``j`` is also the first better entry of the
+full row, however the tree orders ties. (The narrow row is no prefix of
+the full one: cKDTree orders tied neighbors differently for different
+k, so nothing else is read from it.) The other points get their full
+rows from one batched ``query(coords[idx], k)``, which serves this trust
+rule alone; once the first tests have picked the roots, the walks take
+the roots' rows from one more such query. A batched query gives each
+point the row the whole-population query gives it.
 
 Past the shortlist, the order is ``argsort(kind="stable")`` of the
 squared distances to the better solutions, produced a chunk at a time
@@ -246,12 +248,11 @@ def shortlist_rows(tree: cKDTree, coords: np.ndarray, idx: np.ndarray,
     return tree.query(coords[idx], k=k)[1]
 
 
-def nearest_better(tree: cKDTree, coords: np.ndarray,
-                   k: int) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+def nearest_better(tree: cKDTree, coords: np.ndarray, k: int) -> np.ndarray:
     """The first entry ``j < i`` of each row i of ``tree.query(coords, k)[1]``,
-    or -1 where the row has none (always for row 0); and the full rows it
-    queried, by row: those of the points whose ``NARROW_K`` row leaves the
-    answer open (see "Neighbor order" in the module docstring)."""
+    or -1 where the row has none (always for row 0). Only the points whose
+    ``NARROW_K`` row leaves the answer open get their full rows, which serve
+    the trust rule alone (see "Neighbor order" in the module docstring)."""
     ranks = np.arange(len(coords))
     dist, nn = tree.query(coords, k=NARROW_K)
     below = nn < ranks[:, None]
@@ -266,7 +267,7 @@ def nearest_better(tree: cKDTree, coords: np.ndarray,
     nearest[redo] = np.where(below.any(axis=1),
                              rows[np.arange(len(redo)), below.argmax(axis=1)], -1)
     nearest[0] = -1
-    return nearest, dict(zip(redo.tolist(), rows))
+    return nearest
 
 
 def _test_point_counts(starts: np.ndarray, ends: np.ndarray,
@@ -311,7 +312,10 @@ def cluster_population(pop: tuple[np.ndarray, np.ndarray],
     # distances to all its better predecessors.
     shortlist_k = 8 * max_attempts
     tree = cKDTree(coords)
-    nearest, rows = nearest_better(tree, coords, shortlist_k)
+    nearest = nearest_better(tree, coords, shortlist_k)
+    # Where the shortlist has no better neighbor, the first one past it.
+    for i in np.flatnonzero(nearest[1:] < 0) + 1:
+        nearest[i] = next(nearest_first(columns[:i], coords[i], 2 * shortlist_k))[0]
 
     def better_neighbors(i):
         """Rank ``i``'s better neighbors in walk order, as index arrays."""
@@ -324,10 +328,6 @@ def cluster_population(pop: tuple[np.ndarray, np.ndarray],
         seen[row] = True
         for chunk in nearest_first(columns[:i], coords[i], 2 * shortlist_k):
             yield chunk[~seen[chunk]]
-
-    # Where the shortlist has no better neighbor, the first one past it.
-    for i in np.flatnonzero(nearest[1:] < 0) + 1:
-        nearest[i] = next(c for c in better_neighbors(i) if c.size)[0]
 
     root = np.arange(n)  # root[i]: whose cluster i shares
     label = np.zeros(n, dtype=int)  # cluster of each root: its founder's rank
@@ -425,9 +425,7 @@ def cluster_population(pop: tuple[np.ndarray, np.ndarray],
         root[:] = jumped
     roots = ranks[~passed]
     # the walks read the roots' full shortlists
-    fetch = roots[[r not in rows for r in roots.tolist()]]
-    rows.update(zip(fetch.tolist(),
-                    shortlist_rows(tree, coords, fetch, shortlist_k)))
+    rows = dict(zip(roots.tolist(), shortlist_rows(tree, coords, roots, shortlist_k)))
     label_roots(roots)
     label[:] = label[root]
 

@@ -79,17 +79,15 @@ def archive_insert(a: ElitistArchive, s: Solution, gens: int,
     appends, a same-niche improvement replaces, anything else is
     discarded. Returns one of "appended", "replaced", "discarded".
     """
-    if not len(a):
-        a.add(s, gens)
-        return "appended"
-    idx = a.nearest_index(s.x)
-    if not hill_valley_test(s, a.elite(idx), ELITE_TEST_POINTS, e).same_niche:
-        a.add(s, gens)
-        return "appended"
-    if s.f < a.f[idx]:
-        a.replace(idx, s, gens)
-        return "replaced"
-    return "discarded"
+    if len(a):
+        idx = a.nearest_index(s.x)
+        if hill_valley_test(s, a.elite(idx), ELITE_TEST_POINTS, e).same_niche:
+            if s.f < a.f[idx]:
+                a.replace(idx, s, gens)
+                return "replaced"
+            return "discarded"
+    a.add(s, gens)
+    return "appended"
 
 
 def postprocess_archive(a: ElitistArchive) -> tuple[np.ndarray, np.ndarray]:
@@ -143,12 +141,11 @@ class RunReport:
         return cls(problem_id, seed, evaluations, (table[:, :-1], table[:, -1]))
 
 
-# A wrapper only so that perfbench's ledger can wrap the pre-check apart
-# from the in-search check; it goes once the ledger reads a run trace.
-def _precheck_skip(cluster_best: Solution, archive: ElitistArchive,
-                   e: BudgetedEvaluator) -> bool:
-    """True when a cluster's best already sits in an explored niche."""
-    return check_reexploration(cluster_best, archive, e)
+# The pre-check: True when a cluster's best already sits in an explored
+# niche. A name of its own only so that perfbench's ledger can wrap the
+# pre-check apart from the in-search check; it goes once the ledger reads
+# a run trace.
+_precheck_skip = check_reexploration
 
 
 def run_hillvallea(spec: ProblemSpec, seed: int) -> RunReport:

@@ -5,8 +5,25 @@ import numpy as np
 import pytest
 
 from hillvallea import cli
+from hillvallea.benchmarks import UnavailableProblem, get_problem
 from hillvallea.cli import (CSV_HEADER, CampaignConfig, cmd_list, main,
                             parse_problem_ids, pool_workers)
+from hillvallea.orchestrator import RunReport
+
+
+def assert_failed(capfd, rc, message):
+    """The command failure convention: status 1, nothing on stdout and
+    exactly one ``error: message`` line on stderr."""
+    out, err = capfd.readouterr()
+    assert (rc, out, err) == (1, "", f"error: {message}\n")
+
+
+def raised(fn, *args):
+    """The exception ``fn(*args)`` raises, for the message a command
+    reports."""
+    with pytest.raises((OSError, ValueError, UnavailableProblem)) as exc_info:
+        fn(*args)
+    return exc_info.value
 
 
 class TestParseProblemIds:
@@ -116,10 +133,8 @@ class TestListCommand:
 
     @pytest.mark.parametrize("text, bad", [("25", 25), ("0,3", 0), ("3,21-22", 21)])
     def test_unknown_problem_fails_cleanly(self, capfd, text, bad):
-        assert main(["list", "--problems", text]) == 1
-        out, err = capfd.readouterr()
-        assert out == ""
-        assert err == f"error: unknown problem id {bad}\n"
+        rc = main(["list", "--problems", text])
+        assert_failed(capfd, rc, f"unknown problem id {bad}")
 
 
 class TestRunCommand:
@@ -153,15 +168,16 @@ class TestRunCommand:
     def test_unavailable_problem_fails_cleanly(self, tmp_path, capfd):
         rc = main(["run", "--problems", "11", "--runs", "1",
                    "--out", str(tmp_path / "r.csv")])
-        assert rc == 1
-        assert "unavailable" in capfd.readouterr().err
+        exc = raised(get_problem, 11)
+        assert "unavailable" in str(exc)
+        assert_failed(capfd, rc, exc)
         assert not (tmp_path / "r.csv").exists()
 
     def test_unknown_problem_fails_cleanly(self, tmp_path, capfd):
         rc = main(["run", "--problems", "21", "--runs", "1",
                    "--out", str(tmp_path / "r.csv")])
-        assert rc == 1
-        assert "unknown" in capfd.readouterr().err
+        assert_failed(capfd, rc, "unknown problem id 21")
+        assert not (tmp_path / "r.csv").exists()
 
     def test_invalid_epsilon_fails_cleanly(self, tmp_path, capfd):
         # rejected by the argument parser, which exits 2
@@ -213,8 +229,8 @@ class TestRunCommand:
         monkeypatch.setattr(cli, "_single_run", lambda *a: runs.append(a))
         rc = main(["run", "--problems", "2", "--runs", "1",
                    "--reports-dir", str(taken), "--out", str(tmp_path / "r.csv")])
-        assert rc == 1
-        assert "error: cannot create" in capfd.readouterr().err
+        exc = raised(lambda: taken.mkdir(parents=True, exist_ok=True))
+        assert_failed(capfd, rc, f"cannot create {taken}: {exc}")
         assert runs == []
         assert not (tmp_path / "r.csv").exists()
 
@@ -251,9 +267,8 @@ class TestRunCommand:
         rc = main(["run", "--problems", "2", "--runs", "1",
                    "--reports-dir", str(tmp_path / "rep"),
                    "--out", str(tmp_path / "r.csv")])
-        assert rc == 1
-        err = capfd.readouterr().err
-        assert "error: cannot write" in err and "problem02_seed0.txt" in err
+        report = tmp_path / "rep" / "problem02_seed0.txt"
+        assert_failed(capfd, rc, f"cannot write {report}: it is a directory")
         assert runs == []
         assert not (tmp_path / "r.csv").exists()
 
@@ -268,9 +283,8 @@ class TestRunCommand:
         rc = main(["run", "--problems", "2", "--runs", "2",
                    "--reports-dir", str(tmp_path / "rep"),
                    "--out", str(tmp_path / out)])
-        assert rc == 1
-        err = capfd.readouterr().err
-        assert f"error: cannot write {tmp_path / out}: " in err and why in err
+        parent = "" if out == "taken" else f"{tmp_path / 'missing'} "
+        assert_failed(capfd, rc, f"cannot write {tmp_path / out}: {parent}{why}")
         assert runs == []
         assert not (tmp_path / "rep").exists()
         assert not (tmp_path / "missing").exists()
@@ -287,10 +301,10 @@ class TestRunCommand:
         rc = main(["run", "--problems", "2", "--runs", "1",
                    "--reports-dir", str(tmp_path / "rep"),
                    "--out", str(tmp_path / "r.csv")])
-        assert rc == 1
-        err = capfd.readouterr().err
-        assert "error: cannot write" in err and "problem02_seed0.txt" in err
-        assert "Traceback" not in err
+        report = tmp_path / "rep" / "problem02_seed0.txt"
+        exc = raised(report.write_text, "")
+        assert_failed(capfd, rc, f"cannot write {report}: {exc}")
+        assert not (tmp_path / "r.csv").exists()
 
 
 class TestScoreCommand:
@@ -310,41 +324,42 @@ class TestScoreCommand:
     def test_problem_mismatch_fails(self, tmp_path, capfd):
         report = tmp_path / "r.txt"
         report.write_text("2 0 100\n0.1 1.0\n")
-        assert main(["score", str(report), "--problem", "3"]) == 1
-        assert "problem 2" in capfd.readouterr().err
+        rc = main(["score", str(report), "--problem", "3"])
+        assert_failed(capfd, rc, "report is for problem 2, not 3")
 
     def test_missing_file_fails(self, tmp_path, capfd):
-        assert main(["score", str(tmp_path / "nope.txt"),
-                     "--problem", "2"]) == 1
-        assert "error" in capfd.readouterr().err
+        rc = main(["score", str(tmp_path / "nope.txt"), "--problem", "2"])
+        assert_failed(capfd, rc, raised((tmp_path / "nope.txt").read_text))
 
     def test_malformed_report_fails(self, tmp_path, capfd):
         report = tmp_path / "bad.txt"
         report.write_text("this is not a report\n")
-        assert main(["score", str(report), "--problem", "2"]) == 1
+        rc = main(["score", str(report), "--problem", "2"])
+        assert_failed(capfd, rc, raised(RunReport.parse, "this is not a report\n"))
 
     def test_coordinate_count_mismatch_fails(self, tmp_path, capfd):
         # problem 4 is 2-D; a 1-D report must not be broadcast and scored
         report = tmp_path / "r.txt"
         report.write_text("4 0 100\n3.0 200.0\n")
-        assert main(["score", str(report), "--problem", "4"]) == 1
-        err = capfd.readouterr().err
-        assert "1 coordinates" in err and "dimension 2" in err
+        rc = main(["score", str(report), "--problem", "4"])
+        assert_failed(capfd, rc, "report solutions have 1 coordinates; "
+                                 "problem 4 has dimension 2")
 
     def test_negative_evaluation_count_fails(self, tmp_path, capfd):
         report = tmp_path / "r.txt"
         report.write_text("2 0 -5\n0.1 1.0\n")
-        assert main(["score", str(report), "--problem", "2"]) == 1
-        assert "negative evaluation count" in capfd.readouterr().err
+        rc = main(["score", str(report), "--problem", "2"])
+        assert_failed(capfd, rc, "report has a negative evaluation count (-5)")
 
     @pytest.mark.parametrize("problem, message", [(11, "unavailable"),
                                                   (99, "unknown")])
     def test_problem_without_spec_fails(self, tmp_path, capfd, problem, message):
         report = tmp_path / "r.txt"
         report.write_text(f"{problem} 0 100\n0.1 1.0\n")
-        assert main(["score", str(report), "--problem", str(problem)]) == 1
-        err = capfd.readouterr().err
-        assert err.startswith("error:") and message in err
+        rc = main(["score", str(report), "--problem", str(problem)])
+        exc = raised(get_problem, problem)
+        assert message in str(exc)
+        assert_failed(capfd, rc, exc)
 
     @pytest.mark.parametrize("epsilon", ["nan", "inf", "1e-9"])
     def test_invalid_epsilon_fails(self, tmp_path, capfd, epsilon):

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hillvallea import orchestrator
+from hillvallea.amalgam import check_reexploration
 from hillvallea.hillvalley import hill_valley_test
 from hillvallea.orchestrator import (ElitistArchive, RunReport,
                                      archive_insert, initial_population_size,
@@ -89,6 +90,45 @@ class TestArchiveInsert:
         p = rng.integers(0, 4, d) / 4.0
         a = ElitistArchive(x=x, f=np.zeros(len(x)))
         assert a.nearest_index(p) == int(np.argmin(np.linalg.norm(x - p, axis=1)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(d=st.integers(1, 2), wells=st.integers(1, 4), k=st.integers(1, 6),
+           place=st.sampled_from(["anywhere", "near", "on"]),
+           seed=st.integers(0, 2 ** 16))
+    def test_insert_and_explored_niche_follow_one_rule(self, d, wells, k, place,
+                                                       seed):
+        # One rule decides both calls: a point that shares a niche with its
+        # nearest elite and is no fitter is discarded by the insert and is
+        # in an explored niche for the check, and no other point is.
+        def k_wells(X):
+            return np.cos(np.pi * wells * X).sum(axis=1)
+
+        spec = synthetic_spec(k_wells, [-1.0] * d, [1.0] * d, [[0.0] * d])
+        rng = np.random.default_rng(seed)
+        ex, ef = BudgetedEvaluator(spec).evaluate_batch(rng.uniform(-1, 1, (k, d)))
+        x = rng.uniform(-1.0, 1.0, d)
+        if place != "anywhere":  # on an elite, or a small step off one
+            x = ex[rng.integers(k)] + (place == "near") * rng.normal(0.0, 0.05, d)
+        s = evaluate_point(BudgetedEvaluator(spec), spec.clamp(x))
+
+        def archive():
+            return ElitistArchive(x=ex.copy(), f=ef.copy())
+
+        a = archive()
+        nearest = a.nearest_index(s.x)
+        outcome = archive_insert(a, s, 5, BudgetedEvaluator(spec))
+        explored = check_reexploration(s, archive(), BudgetedEvaluator(spec))
+        assert (outcome == "discarded") == explored
+        if outcome == "replaced":
+            assert s.f < ef[nearest]
+            assert a.x[nearest].tolist() == s.x.tolist() and a.f[nearest] == s.f
+            assert len(a) == k
+        elif outcome == "appended":
+            assert len(a) == k + 1
+            assert a.x[-1].tolist() == s.x.tolist() and a.f[-1] == s.f
+        else:
+            assert outcome == "discarded"
+            assert a.x.tobytes() == ex.tobytes() and a.f.tobytes() == ef.tobytes()
 
 
 class TestPostprocess:
@@ -304,8 +344,9 @@ def _phase_spans(spec, seed):
 
 
 class TestRunInvariants:
-    """Whole runs on random budgets: the budget is never exceeded, every
-    evaluation is counted, and a seed fixes the report to the byte."""
+    """Whole runs on random budgets and boxes: the budget is spent exactly,
+    every evaluation is counted, every reported point lies in the box, and
+    a seed fixes the report to the byte."""
 
     @settings(max_examples=60, deadline=None)
     @given(d=st.integers(1, 2), fn=st.sampled_from([double_well, sphere, _wells]),
@@ -330,10 +371,39 @@ class TestRunInvariants:
             return fn(X)
 
         report = run_hillvallea(replace(spec, objective=counted), seed)
-        assert report.evaluations <= spec.budget
+        assert report.evaluations == spec.budget
         assert report.evaluations == sum(rows)
         again = run_hillvallea(spec, seed)
         assert again.serialize() == report.serialize()
+
+    @settings(max_examples=100, deadline=None)
+    @given(d=st.integers(1, 2), family=st.sampled_from(["wells", "plateau", "slope"]),
+           exponent=st.floats(-6.0, 6.0), centre=st.sampled_from([0.0, 1.0, -300.0]),
+           budget=st.integers(1, 3000), seed=st.integers(0, 2 ** 16))
+    def test_any_box_spends_the_budget_inside_it(self, d, family, exponent, centre,
+                                                 budget, seed):
+        # Box widths from 1e-6 to 1e6, every decade alike, off the origin too;
+        # the plateau has a NaN region and steps of equal fitness, and the
+        # slope's optimum is a corner of the box.
+        width = 10.0 ** exponent
+        lower, upper = np.full(d, centre - width / 2), np.full(d, centre + width / 2)
+
+        def objective(X):
+            u = (X - lower) / (upper - lower)  # the box scaled to [0, 1]
+            if family == "wells":
+                return np.cos(5.0 * u).sum(axis=1)
+            if family == "slope":
+                return u[:, 0] - 2.0 * u[:, -1]
+            return np.where(u[:, 0] < 0.3, np.nan, np.floor(3.0 * u).sum(axis=1))
+
+        spec = synthetic_spec(objective, lower, upper, [np.full(d, centre)],
+                              budget=budget, radius=0.1 * width)
+        report = run_hillvallea(spec, seed)
+        x = report.solutions[0]
+        assert report.evaluations == budget
+        assert len(x) >= 1
+        assert ((lower <= x) & (x <= upper)).all()
+        assert run_hillvallea(spec, seed).serialize() == report.serialize()
 
 
 def _rows(x):
