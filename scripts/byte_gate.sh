@@ -1,0 +1,52 @@
+#!/bin/bash
+# Compare two source trees byte for byte on fixed runs.
+#
+#     scripts/byte_gate.sh BASE_SRC HEAD_SRC OUT
+#
+# BASE_SRC and HEAD_SRC are source trees (each put on PYTHONPATH in turn)
+# and OUT a directory for the records of both. Three comparisons:
+#   1. `hillvallea run --problems 1-10 --runs 1 --jobs 2` at seeds 0 and
+#      1000: the CSV, stdout and the reports;
+#   2. runs that end mid-search: problems 2 (1-D), 4, 6, 7 (2-D), 8 and 9
+#      (3-D) at budgets 3, 300, 3000 and 12345, both seeds, so every
+#      shortlist width (k = 16, 24, 32) meets budgets that end mid-run;
+#      problem 8 is where most core searches end on a predicted local
+#      minimum, and at 3 and 300 evaluations a run ends before its first
+#      archive insert and reports the best point it evaluated;
+#   3. the failing invocations of `scripts/error_paths.sh` (this tree's
+#      list for both sides): stdout, stderr and exit status of each.
+# Every difference is reported; the exit status is 1 if there is any.
+set -u
+here=$(cd "$(dirname "$0")" && pwd)
+base=$(cd "$1" && pwd)
+head=$(cd "$2" && pwd)
+out=$(mkdir -p "$3" && cd "$3" && pwd)
+status=0
+
+differ() {  # report a difference and remember it
+  echo "DIFFERS: $1"
+  status=1
+}
+
+for side in base head; do
+  src=$base
+  if [ "$side" = head ]; then src=$head; fi
+  for seed in 0 1000; do
+    PYTHONPATH="$src" python -m hillvallea.cli run --problems 1-10 --runs 1 --seed "$seed" \
+      --jobs 2 --out "$out/$side-$seed.csv" --reports-dir "$out/$side-reports-$seed" \
+      > "$out/$side-$seed.stdout"
+  done
+  PYTHONPATH="$src" python -c 'import dataclasses, sys; from hillvallea import get_problem, run_hillvallea; sys.stdout.writelines(run_hillvallea(dataclasses.replace(get_problem(p), budget=b), s).serialize() for s in (0, 1000) for p in (2, 4, 6, 7, 8, 9) for b in (3, 300, 3000, 12345))' \
+    > "$out/$side-cuts.txt"
+  "$here/error_paths.sh" "$src" "$out/$side-errors" > /dev/null
+done
+
+for seed in 0 1000; do
+  cmp "$out/base-$seed.csv" "$out/head-$seed.csv" || differ "campaign CSV, seed $seed"
+  cmp "$out/base-$seed.stdout" "$out/head-$seed.stdout" || differ "campaign stdout, seed $seed"
+  diff -r "$out/base-reports-$seed" "$out/head-reports-$seed" || differ "campaign reports, seed $seed"
+done
+cmp "$out/base-cuts.txt" "$out/head-cuts.txt" || differ "reports at cut budgets"
+diff -r "$out/base-errors" "$out/head-errors" || differ "error paths"
+if [ "$status" -eq 0 ]; then echo "byte-identical"; fi
+exit "$status"

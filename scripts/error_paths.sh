@@ -42,7 +42,9 @@ cases=(
   "run"
   "run --problems 5-1"
   "run --problems , --out r.csv"
+  "run --problems 1-x --out r.csv"
   "run --problems 2 --runs 0 --out r.csv"
+  "run --problems 2 --runs two --out r.csv"
   "run --problems 2 --jobs 1.5 --out r.csv"
   "run --problems 2 --seed -1 --out r.csv"
   "run --problems 2 --epsilon nan --out r.csv"
@@ -56,6 +58,7 @@ cases=(
   "score r2.txt --problem 99"
   # score: usage errors
   "score r2.txt"
+  "score r2.txt --problem x"
   "score r2.txt --problem 2 --epsilon 1e-9"
 )
 n=0

@@ -87,9 +87,10 @@ def check_convergence_termination(history: deque, b: float, g: int,
 
     ``history`` holds the average selection fitness of the most recent
     generations, at most WINDOW + 1 of them; ``b`` approximates the global
-    minimum (the best archived elite), and the gap is their difference.
-    Does not terminate before the window is full, while the gap is negative
-    (mean already better than the reference), while the rate estimate is
+    minimum (the best archived elite, +inf with none), and the gap is their
+    difference. Does not terminate before the window is full, while the gap
+    is negative (mean already better than the reference), while the oldest
+    gap is not finite and positive, while the rate estimate is
     non-positive (still exploratory), or unless the gap decreased in each
     of the last WINDOW generations. Otherwise terminates when the current
     generation plus the predicted time to optimum exceeds
@@ -101,7 +102,7 @@ def check_convergence_termination(history: deque, b: float, g: int,
     delta_old = history[0] - b
     if delta_new < 0.0:
         return False
-    if delta_old <= 0.0:
+    if not 0.0 < delta_old < math.inf:  # an infinite one has no rate
         return False
     r = estimate_rate(delta_old, delta_new)
     if r <= 0.0:
@@ -157,7 +158,10 @@ def generation_step(s: CoreSearchState, e: BudgetedEvaluator,
     pop_size = len(pop_f)
     n_sel = math.ceil(SELECTION_FRACTION * pop_size)
     selection = np.argsort(pop_f, kind="stable")[:n_sel]
-    a_g = float(np.add.reduce(pop_f[selection]) / n_sel)
+    # Huge finite fitness can sum past the floats, to +-inf or, with a +inf
+    # term, NaN; the convergence prediction declines such an a_g.
+    with np.errstate(over="ignore", invalid="ignore"):
+        a_g = float(np.add.reduce(pop_f[selection]) / n_sel)
     sel_x = pop_x[selection]
 
     old_mean = s.mean
@@ -211,11 +215,12 @@ def run_core_search(c: tuple[np.ndarray, np.ndarray], pop_size: int,
 
     Returns the best solution found, the termination reason, and the
     number of generations executed. The archive is not changed during a
-    search, so its best fitness ``b`` is read once; with no elite yet,
-    convergence is never predicted.
+    search, so its best fitness ``b`` is read once; with no elite yet it
+    is +inf, every gap is then negative or undefined, and convergence is
+    never predicted.
     """
     state = init_from_cluster(c, pop_size, e, rng, min_spread)
-    b = archive.best_fitness if len(archive) else None
+    b = archive.best_fitness
     history = deque(maxlen=WINDOW + 1)
 
     while True:
@@ -229,7 +234,6 @@ def run_core_search(c: tuple[np.ndarray, np.ndarray], pop_size: int,
                 and check_reexploration(state.best, archive, e)):
             return (state.best, TerminationReason.REEXPLORED_NICHE,
                     state.generation)
-        if (b is not None
-                and check_convergence_termination(history, b, state.generation, archive.gen_cap)):
+        if check_convergence_termination(history, b, state.generation, archive.gen_cap):
             return (state.best, TerminationReason.LOCAL_MINIMUM_PREDICTED,
                     state.generation)

@@ -140,11 +140,11 @@ def _build_specs() -> dict[int, ProblemSpec]:
     specs = {}
 
     def add(pid, name, d, lower, upper, budget, optima, fopt, radius, fn):
-        optima = np.asarray(optima, dtype=float).reshape(-1, d)
+        """``lower`` and ``upper`` are scalars or per-dimension lists; the
+        ``optima`` table is (k, d)."""
         specs[pid] = ProblemSpec(
             id=pid, name=name, dimension=d,
-            lower=np.full(d, lower) if np.isscalar(lower) else np.asarray(lower, float),
-            upper=np.full(d, upper) if np.isscalar(upper) else np.asarray(upper, float),
+            lower=np.full(d, lower, dtype=float), upper=np.full(d, upper, dtype=float),
             budget=budget, known_optima=optima,
             optimum_fitness=fopt, niche_radius=radius, objective=fn)
 

@@ -48,7 +48,7 @@ class CampaignConfig:
         check_epsilon(self.epsilon)
 
 
-def check_int(name: str, minimum: int, value: int | str) -> int:
+def check_int(name: str, minimum: float, value: int | str) -> int:
     """``value`` as an integer, if it is one and at least ``minimum``."""
     try:
         value = int(value)
@@ -67,6 +67,12 @@ def check_epsilon(epsilon: float) -> float:
     return epsilon
 
 
+def problem_id(text: str) -> int:
+    """``text`` as a problem id: any integer. An unknown one is not a usage
+    error but the command's failure (status 1)."""
+    return check_int("problem id", -math.inf, text)
+
+
 def parse_problem_ids(text: str) -> list[int]:
     """Parse '1-5,7,10' style problem selections.
 
@@ -79,12 +85,12 @@ def parse_problem_ids(text: str) -> list[int]:
         if not part:
             continue
         if "-" in part:
-            lo, hi = (int(v) for v in part.split("-", 1))
+            lo, hi = (problem_id(v) for v in part.split("-", 1))
             if lo > hi:
                 raise ValueError(f"reversed problem range '{part}'")
             ids.extend(range(lo, hi + 1))
         else:
-            ids.append(int(part))
+            ids.append(problem_id(part))
     if not ids:
         raise ValueError(f"no problems selected by '{text}'")
     return sorted(set(ids))
@@ -246,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_score = sub.add_parser("score", help="score a stored run report")
     p_score.add_argument("report")
-    p_score.add_argument("--problem", type=int, required=True)
+    p_score.add_argument("--problem", type=_arg(problem_id), required=True)
     p_score.add_argument("--epsilon", type=epsilon, default=DEFAULT_EPSILON)
     return parser
 

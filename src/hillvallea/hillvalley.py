@@ -9,9 +9,13 @@ Clustering works on index arrays over the fitness-ranked population (an
 ``(x, f)`` pair, see ``problem``). It evaluates exactly the points the
 sequential algorithm (visit the solutions in rank order, test, assign,
 append) evaluates, and returns the same clusters, numbered alike, with
-the same members in the same order. It evaluates them in another order,
-which never shows: a budget that runs out during clustering ends the run
-(see ``orchestrator.run_hillvallea``).
+the same members in the same order. It evaluates them in another order.
+That shows only when the budget runs out during clustering, which ends
+the run (see ``orchestrator.run_hillvallea``) after other points than
+the sequential order would have evaluated. A run that ends inside its
+first clustering has an empty archive and reports the best of its own
+first ``budget`` evaluations, which can differ from the sequential
+algorithm's best.
 
 First tests in rounds. A solution's first test, against its nearest
 better neighbor, has endpoints, point count and threshold fixed before
@@ -80,12 +84,14 @@ the roots' rows from one more such query. A batched query gives each
 point the row the whole-population query gives it.
 
 Past the shortlist, the order is ``argsort(kind="stable")`` of the
-squared distances to the better solutions, produced a chunk at a time
-by ``nearest_first``, so a walk that stops early costs O(i) instead of a
-full sort. ``squared_distances`` adds each row's squares left to right,
-a column at a time over a column-major copy of the coordinates, made
-once per clustering, so the order is the same in every dimension. A
-root's walk is dropped as soon as the root is decided.
+squared distances to the better solutions. The first test needs only its
+head, the ``argmin`` of those distances (the first of the nearest). The
+walks take it a chunk at a time from ``nearest_first``, so a walk that
+stops early costs O(i) instead of a full sort. ``squared_distances`` adds
+each row's squares left to right, a column at a time over a column-major
+copy of the coordinates, made once per clustering, so the order is the
+same in every dimension. A root's walk is dropped as soon as the root is
+decided.
 """
 
 from __future__ import annotations
@@ -197,7 +203,8 @@ def nearest_first(points: np.ndarray, x: np.ndarray,
                   chunk: int) -> Iterator[np.ndarray]:
     """Yield the row indices of ``points`` from nearest to ``x`` outwards,
     in ``argsort(kind="stable")`` order of the squared distances, as
-    consecutive index arrays.
+    consecutive index arrays. The fallback walks read it past the
+    shortlist; its first index is the ``argmin`` of those distances.
 
     Works a chunk at a time, so a caller that stops early pays O(len)
     rather than a full sort; each chunk is eight times the last, so a
@@ -313,9 +320,10 @@ def cluster_population(pop: tuple[np.ndarray, np.ndarray],
     shortlist_k = 8 * max_attempts
     tree = cKDTree(coords)
     nearest = nearest_better(tree, coords, shortlist_k)
-    # Where the shortlist has no better neighbor, the first one past it.
+    # Where the shortlist has no better neighbor, the nearest one past it
+    # (the first on ties, as ``nearest_first`` would give it).
     for i in np.flatnonzero(nearest[1:] < 0) + 1:
-        nearest[i] = next(nearest_first(columns[:i], coords[i], 2 * shortlist_k))[0]
+        nearest[i] = squared_distances(columns[:i], coords[i]).argmin()
 
     def better_neighbors(i):
         """Rank ``i``'s better neighbors in walk order, as index arrays."""

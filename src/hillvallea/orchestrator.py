@@ -31,12 +31,14 @@ def min_core_population(dimension: int) -> int:
 class ElitistArchive:
     """Distinct-niche best solutions found so far.
 
-    The elites are the rows of one (k, d) matrix ``x`` with fitness ``f``;
+    The elites are the rows of one (k, d) matrix ``x`` with fitness ``f``,
+    a population pair; an empty archive holds a (0, 0) matrix, takes its
+    width from the first elite added, and has best fitness +inf.
     ``max_generation`` is the most generations any inserted core search
     took.
     """
 
-    x: np.ndarray | None = None
+    x: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
     f: np.ndarray = field(default_factory=lambda: np.empty(0))
     max_generation: int = 0
 
@@ -45,7 +47,7 @@ class ElitistArchive:
 
     @property
     def best_fitness(self) -> float:
-        return float(self.f.min())
+        return float(self.f.min(initial=np.inf))
 
     @property
     def gen_cap(self) -> int:
@@ -61,7 +63,7 @@ class ElitistArchive:
         return int(np.sqrt(np.add.reduce((self.x - x) ** 2, axis=1)).argmin())
 
     def add(self, s: Solution, gens: int) -> None:
-        self.x = s.x[None, :].copy() if self.x is None else np.vstack([self.x, s.x])
+        self.x = np.vstack([self.x.reshape(-1, len(s.x)), s.x])
         self.f = np.append(self.f, s.f)
         self.max_generation = max(self.max_generation, gens)
 
@@ -93,8 +95,6 @@ def archive_insert(a: ElitistArchive, s: Solution, gens: int,
 def postprocess_archive(a: ElitistArchive) -> tuple[np.ndarray, np.ndarray]:
     """Keep only elites within the fitness tolerance of the best one, as a
     population pair; an empty archive gives ``(0, 0)`` and ``(0,)`` arrays."""
-    if not len(a):
-        return np.empty((0, 0)), np.empty(0)
     keep = a.f <= a.best_fitness + POSTPROCESS_TOLERANCE
     return a.x[keep], a.f[keep]
 

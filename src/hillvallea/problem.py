@@ -13,7 +13,6 @@ best, an elite, the evaluator's best).
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass, field
 from typing import Callable
@@ -132,10 +131,6 @@ class BudgetedEvaluator:
     used: int = 0
     best: Solution | None = field(default=None, init=False)
 
-    @property
-    def remaining(self) -> int:
-        return self.spec.budget - self.used
-
     def evaluate_batch(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Evaluate the rows of ``xs``; one budget unit per row.
 
@@ -144,14 +139,15 @@ class BudgetedEvaluator:
         still fit are evaluated, so the whole budget is spent, and then
         ``BudgetExhausted`` is raised. Complex objective output, and output
         of a shape other than (rows,), raises ``ValueError``; non-finite
-        values become +inf.
+        values (NaN and either infinity) become +inf, the worst fitness,
+        and every finite value is kept as it is, however large.
         """
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.spec.dimension:
             raise DimensionMismatch(
                 f"expected (n, {self.spec.dimension}) array, got shape {xs.shape}")
         n = xs.shape[0]
-        fit = min(n, self.remaining)
+        fit = min(n, self.spec.budget - self.used)
         values = np.empty(0)
         if fit > 0:
             values = self.spec.objective(xs[:fit])
@@ -164,9 +160,7 @@ class BudgetedEvaluator:
                     f"objective of problem {self.spec.id} returned shape "
                     f"{values.shape} for {fit} rows; expected ({fit},)")
             values = self.spec.to_internal(values)
-            # A sum is finite only if every term is (an overflow is a false alarm).
-            if not math.isfinite(np.add.reduce(values)):
-                values[~np.isfinite(values)] = np.inf  # worst
+            values[~np.isfinite(values)] = np.inf  # worst
             self.used += fit
             i = values.argmin()
             if self.best is None or values[i] < self.best.f:

@@ -94,6 +94,9 @@ class TestTimeToOptimum:
 
 
 class TestConvergenceTracker:
+    """``check_convergence_termination`` on the window of a_g values that
+    ``run_core_search`` keeps."""
+
     def _history(self, values):
         # the window as ``run_core_search`` keeps it
         return deque(values, maxlen=WINDOW + 1)
@@ -145,6 +148,30 @@ class TestConvergenceTracker:
         vals = [10.0 ** -k for k in range(WINDOW + 1)]
         h = self._history(vals)
         assert not check_convergence_termination(h, 0.0, 10, 100)
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.floats(), max_size=WINDOW + 3),
+           g=st.integers(0, 10 ** 6), gen_cap=st.integers(1, 10 ** 6))
+    def test_no_elite_never_predicts(self, values, g, gen_cap):
+        # an empty archive's best fitness is +inf, so no gap is positive
+        h = self._history(values)
+        assert check_convergence_termination(h, math.inf, g, gen_cap) is False
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.floats(), min_size=WINDOW + 1, max_size=WINDOW + 3),
+           b=st.floats(allow_nan=False, allow_infinity=False),
+           g=st.integers(0, 10 ** 6), gen_cap=st.integers(1, 10 ** 6))
+    def test_any_window_gives_an_answer(self, values, b, g, gen_cap):
+        # a_g is +-inf or NaN when huge finite fitness sums past the floats
+        h = self._history(values)
+        assert check_convergence_termination(h, b, g, gen_cap) in (True, False)
+
+    @pytest.mark.parametrize("values, b", [
+        ([math.inf, 5.0, 4.0, 3.0, 2.0, 1.0], 0.0),  # an overflowed a_g
+        ([1.7e308, 1e307, 1e306, 1e305, 1e304, -1.6e308], -1.7e308)])  # gap overflows
+    def test_infinite_old_gap_declines(self, values, b):
+        # both used to reach math.log(0.0) and raise ValueError
+        assert not check_convergence_termination(self._history(values), b, 10, 1)
 
     def test_threshold_is_multiple_of_generation_cap(self):
         vals = [0.99 ** k for k in range(WINDOW + 1)]
@@ -261,6 +288,19 @@ class TestGenerationStep:
         assert s.mean.tobytes() == np.mean(x[sel], axis=0).tobytes()
         want = np.maximum(np.std(x[sel], axis=0, ddof=0), floor)
         assert s.stddev.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("f, a_g", [([1.7e308] * 6, math.inf),
+                                        ([-1.7e308] * 6, -math.inf)])
+    def test_huge_finite_fitness_sums_without_warning(self, f, a_g):
+        # the selection's sum overflows; RuntimeWarnings fail tier 1
+        spec = synthetic_spec(sphere, [-1.0], [1.0], [[0.0]])
+        x = np.linspace(-0.5, 0.5, len(f))[:, None]
+        f = np.array(f)
+        s = amalgam.CoreSearchState(mean=np.zeros(1), stddev=np.ones(1),
+                                    multiplier=1.0, population=(x, f),
+                                    generation=0, best=best_of(x, f),
+                                    stddev_floor=np.zeros(1))
+        assert generation_step(s, BudgetedEvaluator(spec), np.random.default_rng(0)) == a_g
 
     def test_budget_exhaustion_keeps_partial_best(self):
         spec = synthetic_spec(sphere, [-10.0], [10.0], [[0.0]], budget=8)

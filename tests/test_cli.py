@@ -40,8 +40,15 @@ class TestParseProblemIds:
         assert parse_problem_ids(" 2 , 4 ,") == [2, 4]
 
     def test_garbage_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="problem id must be an integer"):
             parse_problem_ids("two")
+
+    @pytest.mark.parametrize("text, bad", [("1-x", "x"), ("-3", "")])
+    def test_non_integer_id_message(self, text, bad):
+        with pytest.raises(ValueError) as exc_info:
+            parse_problem_ids(text)
+        assert str(exc_info.value) == ("problem id must be an integer (invalid "
+                                       f"literal for int() with base 10: '{bad}')")
 
     def test_reversed_range_rejected(self):
         with pytest.raises(ValueError, match="reversed"):
@@ -101,6 +108,30 @@ class TestCampaignConfig:
         with pytest.raises(ValueError, match=f"problem {repeated} is selected "
                                               f"more than once"):
             CampaignConfig(problem_ids=ids, runs=1)
+
+
+def usage_error(capfd, argv):
+    """The stderr of a usage error: status 2 and nothing on stdout."""
+    with pytest.raises(SystemExit) as exc_info:
+        main(argv)
+    out, err = capfd.readouterr()
+    assert (exc_info.value.code, out) == (2, "")
+    return err
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["list", "--problems", "x"], "argument --problems: problem id must be an integer"),
+    (["run", "--problems", "1-x"], "argument --problems: problem id must be an integer"),
+    (["score", "r.txt", "--problem", "x"], "argument --problem: problem id must be an integer"),
+    (["run", "--problems", "2", "--runs", "x"], "argument --runs: runs must be an integer")])
+def test_non_integer_is_one_usage_error(capfd, argv, error):
+    # a problem id used to read "invalid literal ..." alone, or argparse's
+    # "invalid int value: 'x'"; the usage lines are the subcommand's, as
+    # for any of its usage errors
+    usage = usage_error(capfd, argv[:-1]).splitlines(keepends=True)[:-1]
+    assert usage_error(capfd, argv) == "".join(usage) + (
+        f"hillvallea {argv[0]}: error: {error} "
+        "(invalid literal for int() with base 10: 'x')\n")
 
 
 class TestPoolWorkers:
@@ -352,7 +383,7 @@ class TestScoreCommand:
         assert_failed(capfd, rc, "report has a negative evaluation count (-5)")
 
     @pytest.mark.parametrize("problem, message", [(11, "unavailable"),
-                                                  (99, "unknown")])
+                                                  (99, "unknown"), (-5, "unknown")])
     def test_problem_without_spec_fails(self, tmp_path, capfd, problem, message):
         report = tmp_path / "r.txt"
         report.write_text(f"{problem} 0 100\n0.1 1.0\n")

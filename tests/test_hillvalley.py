@@ -392,6 +392,18 @@ def test_nearest_first_is_the_stable_argsort(d, i, chunk, seed):
     assert got.tolist() == np.argsort(dists, kind="stable").tolist()
 
 
+@settings(max_examples=100, deadline=None)
+@given(d=st.integers(1, 5), i=st.integers(1, 300), seed=st.integers(0, 2 ** 16))
+def test_argmin_is_the_head_of_nearest_first(d, i, seed):
+    # The first partner past the shortlist: the first of the nearest, on a
+    # grid where many better predecessors tie, over the column-major copy
+    # that clustering makes.
+    coords = np.random.default_rng(seed).integers(0, 4, (i + 1, d)) / 4.0
+    columns = np.asfortranarray(coords)
+    head = next(nearest_first(columns[:i], coords[i], 2 * 8 * (1 + d)))[0]
+    assert squared_distances(columns[:i], coords[i]).argmin() == head
+
+
 @settings(max_examples=300, deadline=None)
 @given(d=st.integers(1, 12), n=st.integers(0, 40), grid=st.booleans(),
        fortran=st.booleans(), seed=st.integers(0, 2 ** 16))

@@ -515,3 +515,75 @@ class TestBudgetCut:
         assert report.evaluations == cut
         assert _rows(report.solutions[0]) == _rows(want[0])
         assert report.solutions[1].tolist() == want[1].tolist()
+
+
+def _generated_objective(family, scale, lower, upper):
+    """A landscape of ``family`` over the box, its values in [-1, 1] times
+    ``scale``, so that even ``scale`` 1.7e308 never overflows inside it."""
+    def objective(X):
+        u = (X - lower) / (upper - lower)  # the box scaled to [0, 1]
+        if family == "slope":  # optimum at a corner
+            return scale * ((u[:, 0] - 2.0 * u[:, -1]) / 2.0)
+        if family == "plateau":  # steps of equal fitness, a NaN region
+            steps = np.floor(3.0 * u).sum(axis=1) / (3.0 * u.shape[1])
+            return np.where(u[:, 0] < 0.3, np.nan, scale * steps)
+        # about 2.5 periods per axis: many clusters and core searches
+        wells = scale * (np.add.reduce(np.cos(16.0 * u), axis=1) / u.shape[1])
+        if family == "inf":  # a +inf region
+            return np.where(u[:, 0] > 0.7, np.inf, wells)
+        return wells
+    return objective
+
+
+class TestGeneratedProblems:
+    """Whole runs on generated problems of 1 to 5 dimensions, with NaN and
+    +inf regions and finite values up to +-1.7e308: the budget is spent
+    exactly and nothing warns (a RuntimeWarning fails tier 1), and a
+    shorter budget evaluates a prefix of the longer run and reports the
+    archive of its last insert within the budget (see ``TestBudgetCut``)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(d=st.integers(1, 5),
+           family=st.sampled_from(["wells", "plateau", "slope", "inf"]),
+           scale=st.sampled_from([1.0, -1.0, 1e300, -1e307, 1.7e308, -1.7e308]),
+           exponent=st.floats(-6.0, 6.0), centre=st.sampled_from([0.0, 1.0, -300.0]),
+           seed=st.integers(0, 2 ** 16), data=st.data())
+    def test_shorter_budget_is_a_prefix(self, d, family, scale, exponent, centre,
+                                        seed, data):
+        # budgets up to 3,000, and now and then up to 20,000 below d = 3,
+        # mostly near the top; cuts near either end
+        longest = data.draw(st.sampled_from([3000] * 4 + [20_000 if d < 3 else 3000]))
+        budget = longest + 1 - data.draw(st.integers(1, longest), label="top - budget + 1")
+        cut = data.draw(st.integers(1, budget) | st.integers(1, budget).map(
+            lambda k: budget + 1 - k), label="cut")
+        width = 10.0 ** exponent
+        lower, upper = np.full(d, centre - width / 2), np.full(d, centre + width / 2)
+        spec = synthetic_spec(_generated_objective(family, scale, lower, upper),
+                              lower, upper, [np.full(d, centre)], budget=budget,
+                              radius=0.1 * width)
+        inserts = []  # (used after the insert, the archive it left)
+        real = orchestrator.archive_insert
+
+        def spy(a, s, gens, e):
+            outcome = real(a, s, gens, e)
+            inserts.append((e.used, postprocess_archive(a)))
+            return outcome
+
+        with mock.patch.object(orchestrator, "archive_insert", spy):
+            report, rows, f = _recorded_run(spec, seed)
+        assert report.evaluations == len(rows) == budget
+        x = report.solutions[0]
+        assert len(x) >= 1 and ((lower <= x) & (x <= upper)).all()
+
+        short, short_rows, _ = _recorded_run(replace(spec, budget=cut), seed)
+        assert short_rows.tobytes() == rows[:cut].tobytes()
+        finished = [kept for used, kept in inserts if used <= cut]
+        if finished:
+            want = finished[-1]
+        else:  # the best of the first rows, non-finite values the worst (+inf)
+            f = np.where(np.isfinite(f), f, np.inf)
+            i = int(np.argmin(f[:cut]))
+            want = (rows[i:i + 1], f[i:i + 1])
+        assert short.evaluations == cut
+        assert _rows(short.solutions[0]) == _rows(want[0])
+        assert short.solutions[1].tolist() == want[1].tolist()

@@ -147,6 +147,21 @@ def test_non_finite_values_count_as_worst(maximize):
     assert list(f) == [np.inf, np.inf, np.inf, spec.to_internal(2.0)]
 
 
+@pytest.mark.parametrize("maximize", [False, True])
+def test_huge_finite_values_are_kept(maximize):
+    # their sum overflows; RuntimeWarnings fail tier 1
+    huge = np.array([1.7e308, -1.7e308, 1.7e308, np.finfo(float).max, 1.0])
+
+    def values(X):
+        return huge[:len(X)].copy()
+
+    spec = replace(synthetic_spec(values, [-1.0], [1.0], [[0.0]]), maximize=maximize)
+    e = BudgetedEvaluator(spec)
+    _, f = e.evaluate_batch(np.zeros((5, 1)))
+    assert f.tobytes() == spec.to_internal(huge).tobytes()
+    assert e.best.f == f.min()
+
+
 class TestProblemSpecValidation:
     def _spec(self, **changes):
         return replace(synthetic_spec(sphere, [-1.0], [1.0], [[0.0]]), **changes)
