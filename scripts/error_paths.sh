@@ -22,6 +22,8 @@ printf '2 0 100\n0.1 1.0\n' > r2.txt
 printf '2 0 -5\n0.1 1.0\n' > neg.txt
 printf '4 0 100\n3.0 200.0\n' > wide.txt
 printf '11 0 100\n0.1 1.0\n' > r11.txt
+printf '1 0 3.5\n0.1 1.0\n' > frac.txt
+printf '2 0 100\n0.1 abc\n' > word.txt
 
 cases=(
   # list
@@ -56,6 +58,8 @@ cases=(
   "score wide.txt --problem 4"
   "score r11.txt --problem 11"
   "score r2.txt --problem 99"
+  "score frac.txt --problem 1"
+  "score word.txt --problem 2"
   # score: usage errors
   "score r2.txt"
   "score r2.txt --problem x"

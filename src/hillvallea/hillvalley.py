@@ -60,7 +60,7 @@ members by (cluster, rank), with the solutions ahead of the test points
 and the test points in evaluation order, gives the same member order.
 
 Neighbor order. The neighbors of rank i are the solutions ranked before
-i in its KD-tree shortlist (row i of ``query(coords, k)`` with
+i in its shortlist (row i of a KD-tree's ``query(coords, k)`` with
 k = 8 * (1 + d)), in shortlist order, then, if the walk gets past them,
 the other better solutions by distance. When k is at least the
 population size n, the row holds every point (cKDTree pads it with
@@ -82,6 +82,21 @@ rows from one batched ``query(coords[idx], k)``, which serves this trust
 rule alone; once the first tests have picked the roots, the walks take
 the roots' rows from one more such query. A batched query gives each
 point the row the whole-population query gives it.
+
+In one dimension (d = 1, k = 16) the sorted sample already holds every
+point's nearest neighbors, so ``line_rows`` builds all rows without a
+tree, in one vectorized merge over ``argsort(kind="stable")`` order: each
+step takes the nearer of a point's next-left and next-right neighbors by
+squared gap ``(c_j - c_i) ** 2``, the arithmetic cKDTree uses for one
+coordinate, and index n pads short rows as in cKDTree. A row whose first
+k + 1 squared distances are all distinct (the inf pads aside) has one
+k-nearest set in one order, so it is the tree's row, however the tree
+orders tied points. The other rows, where duplicates, equal left and
+right gaps, or the quantised gaps of a box far from 0 tie two distances,
+come from one batched query of a tree built only when such a row exists.
+The first tests read ``nearest`` from these rows and the walks read the
+roots' rows from the same array, so in d = 1 neither the narrow query,
+the trust rule, the redo query nor the roots' query runs.
 
 Past the shortlist, the order is ``argsort(kind="stable")`` of the
 squared distances to the better solutions. The first test needs only its
@@ -114,10 +129,10 @@ MAX_TEST_POINTS = 5
 # Extra nearest-better attempts (beyond the first) per dimension.
 EXTRA_ATTEMPTS_PER_DIM = 1
 
-# Neighbors per point in the first KD-tree query, which only finds the
-# nearest better neighbors it can vouch for (see "Neighbor order" above);
-# 6 or 7 ran fastest on the CEC2013 samples of d = 1 to 3, where 6-8% of
-# the points then needed their full shortlist.
+# Neighbors per point in the first KD-tree query (d >= 2), which only
+# finds the nearest better neighbors it can vouch for (see "Neighbor
+# order" above); 6 or 7 ran fastest on the CEC2013 samples of d = 1 to 3,
+# where 6-8% of the points then needed their full shortlist.
 NARROW_K = 6
 
 
@@ -255,6 +270,14 @@ def shortlist_rows(tree: cKDTree, coords: np.ndarray, idx: np.ndarray,
     return tree.query(coords[idx], k=k)[1]
 
 
+def first_better(rows: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """The first entry ``j < ranks[r]`` of each row r of ``rows``, or -1
+    where the row has none."""
+    below = rows < ranks[:, None]
+    return np.where(below.any(axis=1),
+                    rows[np.arange(len(rows)), below.argmax(axis=1)], -1)
+
+
 def nearest_better(tree: cKDTree, coords: np.ndarray, k: int) -> np.ndarray:
     """The first entry ``j < i`` of each row i of ``tree.query(coords, k)[1]``,
     or -1 where the row has none (always for row 0). Only the points whose
@@ -269,12 +292,44 @@ def nearest_better(tree: cKDTree, coords: np.ndarray, k: int) -> np.ndarray:
     trusted = (below.any(axis=1) & (near[:, 0] < dist[:, -1])
                & ((dist == near).sum(axis=1) == 1))
     redo = np.flatnonzero(~trusted[1:]) + 1
-    rows = shortlist_rows(tree, coords, redo, k)
-    below = rows < redo[:, None]
-    nearest[redo] = np.where(below.any(axis=1),
-                             rows[np.arange(len(redo)), below.argmax(axis=1)], -1)
+    nearest[redo] = first_better(shortlist_rows(tree, coords, redo, k), redo)
     nearest[0] = -1
     return nearest
+
+
+def line_rows(coords: np.ndarray, k: int) -> np.ndarray:
+    """``cKDTree(coords).query(coords, k)[1]`` for one coordinate
+    (``coords`` of shape (n, 1)), from one merge over the sorted sample;
+    only the rows with a tie among their first k + 1 distances come from
+    the tree (see "Neighbor order" in the module docstring)."""
+    n = len(coords)
+    c = coords[:, 0]
+    order = np.argsort(c, kind="stable")
+    pad = np.full(k, np.inf)  # a pad is never nearer than a point
+    line = np.concatenate((-pad, c[order], pad))
+    index = np.concatenate((np.full(k, n), order, np.full(k, n)))
+    left = np.empty(n, dtype=np.intp)  # each point's next-left place in line
+    left[order] = np.arange(k - 1, k - 1 + n)
+    right = left + 2
+    rows = np.full((n, k + 1), n)  # a step past the row, to test its end
+    rows[:, 0] = np.arange(n)
+    last = np.zeros(n)  # the squared distance of the entry before
+    tied = np.zeros(n, dtype=bool)
+    for col in range(1, min(k, n - 1) + 1):  # past n - 1 only pads are left
+        dl = (line[left] - c) ** 2
+        dr = (line[right] - c) ** 2
+        go_left = dl < dr
+        rows[:, col] = index[np.where(go_left, left, right)]
+        dist = np.minimum(dl, dr)
+        tied |= dist == last
+        last = dist
+        left -= go_left
+        right += ~go_left
+    rows = rows[:, :k]
+    tied = np.flatnonzero(tied)
+    if tied.size:
+        rows[tied] = shortlist_rows(cKDTree(coords), coords, tied, k)
+    return rows
 
 
 def _test_point_counts(starts: np.ndarray, ends: np.ndarray,
@@ -285,7 +340,8 @@ def _test_point_counts(starts: np.ndarray, ends: np.ndarray,
     # one vector, so a batched count equals a pairwise one bit for bit;
     # summing the squares can round differently.
     dist = np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
-    return np.minimum(MAX_TEST_POINTS, 1 + (dist / edge_length).astype(int))
+    # capped before the cast, which a ratio of 2**63 or more would overflow
+    return 1 + np.minimum(dist / edge_length, MAX_TEST_POINTS - 1).astype(int)
 
 
 def cluster_population(pop: tuple[np.ndarray, np.ndarray],
@@ -314,12 +370,17 @@ def cluster_population(pop: tuple[np.ndarray, np.ndarray],
     max_attempts = 1 + d * EXTRA_ATTEMPTS_PER_DIM
 
     # Only a handful of nearest better neighbors are ever inspected.
-    # A KD-tree shortlist avoids the O(n^2 d) brute-force distance pass;
-    # the rare solution that exhausts its shortlist goes on to the
-    # distances to all its better predecessors.
+    # A shortlist, from a KD-tree or in d = 1 from the sorted sample,
+    # avoids the O(n^2 d) brute-force distance pass; the rare solution
+    # that exhausts its shortlist goes on to the distances to all its
+    # better predecessors.
     shortlist_k = 8 * max_attempts
-    tree = cKDTree(coords)
-    nearest = nearest_better(tree, coords, shortlist_k)
+    if d == 1:
+        rows = line_rows(coords, shortlist_k)
+        nearest = first_better(rows, np.arange(n))
+    else:
+        tree = cKDTree(coords)
+        nearest = nearest_better(tree, coords, shortlist_k)
     # Where the shortlist has no better neighbor, the nearest one past it
     # (the first on ties, as ``nearest_first`` would give it).
     for i in np.flatnonzero(nearest[1:] < 0) + 1:
@@ -432,8 +493,9 @@ def cluster_population(pop: tuple[np.ndarray, np.ndarray],
             break
         root[:] = jumped
     roots = ranks[~passed]
-    # the walks read the roots' full shortlists
-    rows = dict(zip(roots.tolist(), shortlist_rows(tree, coords, roots, shortlist_k)))
+    if d > 1:  # the walks read the roots' full shortlists
+        rows = dict(zip(roots.tolist(),
+                        shortlist_rows(tree, coords, roots, shortlist_k)))
     label_roots(roots)
     label[:] = label[root]
 

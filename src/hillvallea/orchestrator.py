@@ -122,21 +122,25 @@ class RunReport:
 
     @classmethod
     def parse(cls, text: str) -> "RunReport":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
+        lines = [(lineno, ln.split())
+                 for lineno, ln in enumerate(text.splitlines(), start=1)
+                 if ln.strip()]
         if not lines:
             raise ValueError("empty report")
-        head = lines[0].split()
-        if len(head) != 3:
-            raise ValueError("line 1: expected 'problem_id seed evaluations'")
-        problem_id, seed, evaluations = (int(v) for v in head)
+        lineno, head = lines[0]
         rows = []
-        for lineno, ln in enumerate(lines[1:], start=2):
-            parts = ln.split()
-            if len(parts) < 2:
-                raise ValueError(f"line {lineno}: expected coordinates and fitness")
-            if rows and len(parts) != len(rows[0]):
-                raise ValueError(f"line {lineno}: inconsistent coordinate count")
-            rows.append([float(v) for v in parts])
+        try:  # every error names its line in the text
+            if len(head) != 3:
+                raise ValueError("expected 'problem_id seed evaluations'")
+            problem_id, seed, evaluations = (int(v) for v in head)
+            for lineno, parts in lines[1:]:
+                if len(parts) < 2:
+                    raise ValueError("expected coordinates and fitness")
+                if rows and len(parts) != len(rows[0]):
+                    raise ValueError("inconsistent coordinate count")
+                rows.append([float(v) for v in parts])
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
         table = np.array(rows) if rows else np.empty((0, 1))
         return cls(problem_id, seed, evaluations, (table[:, :-1], table[:, -1]))
 

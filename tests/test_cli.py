@@ -368,6 +368,18 @@ class TestScoreCommand:
         rc = main(["score", str(report), "--problem", "2"])
         assert_failed(capfd, rc, raised(RunReport.parse, "this is not a report\n"))
 
+    @pytest.mark.parametrize("text, problem, message", [
+        ("1 0 3.5\n0.1 1.0\n", "1",
+         "line 1: invalid literal for int() with base 10: '3.5'"),
+        ("2 0 100\n0.1 abc\n", "2",
+         "line 2: could not convert string to float: 'abc'")])
+    def test_unreadable_number_names_its_line(self, tmp_path, capfd, text,
+                                              problem, message):
+        report = tmp_path / "r.txt"
+        report.write_text(text)
+        rc = main(["score", str(report), "--problem", problem])
+        assert_failed(capfd, rc, message)
+
     def test_coordinate_count_mismatch_fails(self, tmp_path, capfd):
         # problem 4 is 2-D; a 1-D report must not be broadcast and scored
         report = tmp_path / "r.txt"

@@ -11,9 +11,9 @@ from scipy.spatial import cKDTree
 from hillvallea import hillvalley, orchestrator
 from hillvallea.benchmarks import get_problem
 from hillvallea.hillvalley import (MAX_TEST_POINTS, cluster_population,
-                                   expected_edge_length, nearest_better,
-                                   nearest_first, shortlist_rows,
-                                   squared_distances)
+                                   expected_edge_length, first_better,
+                                   line_rows, nearest_better, nearest_first,
+                                   shortlist_rows, squared_distances)
 from hillvallea.hillvalley import _test_point_counts as point_counts
 from hillvallea.hillvalley import hill_valley_test
 from hillvallea.problem import BudgetedEvaluator, BudgetExhausted, Solution, best_of
@@ -200,6 +200,16 @@ def test_test_point_count_scales_with_distance():
     assert list(point_counts(starts, ends, edge)) == [1, 5]  # far is capped
 
 
+def test_test_point_count_is_capped_before_the_cast():
+    # On this box the edge length is about 1e-26, so a pair far apart on
+    # the wide axis is about 1e176 edge lengths apart: past the int range,
+    # where a bare cast gave a negative count and a warning.
+    spec = synthetic_spec(sphere, [0.0, 0.0], [1e-200, 1e150], [[0.0, 0.0]])
+    edge = expected_edge_length(spec, 130)
+    starts, ends = np.array([[0.0, 0.0]] * 2), np.array([[0.0, 0.8e150], [0.0, 0.0]])
+    assert point_counts(starts, ends, edge).tolist() == [MAX_TEST_POINTS, 1]
+
+
 @pytest.mark.parametrize("d, width", [(200, 0.01), (400, 20.0)])
 def test_box_volume_out_of_float_range(d, width):
     # 0.01 ** 200 underflows to 0 and 20 ** 400 overflows to inf; the edge
@@ -273,11 +283,13 @@ class TestBatchedClusteringEquivalence:
             _assert_same_clusters(cluster_population(pop, e_new), want)
             assert e_new.used == e_ref.used
 
-    @pytest.mark.parametrize("d, n, seed", [(2, 700, 0), (2, 1500, 1),
+    @pytest.mark.parametrize("d, n, seed", [(1, 700, 4), (1, 1500, 5),
+                                            (2, 700, 0), (2, 1500, 1),
                                             (3, 700, 2), (3, 1500, 3)])
     def test_large_tied_populations(self, d, n, seed):
         # Grid ties in populations far beyond the shortlist width, where
-        # the narrow first query and the batched full rows both serve.
+        # the narrow first query and the batched full rows both serve, and
+        # in d = 1 the tree serves the tied rows.
         spec = _spec(_many_wells, d)
         xs = np.random.default_rng(seed).integers(-8, 9, (n, d)) / 4.0
         pop = BudgetedEvaluator(spec).evaluate_batch(xs)
@@ -344,10 +356,11 @@ class TestBatchedClusteringEquivalence:
         assert sum(calls) == e.used - 300
 
 
-@pytest.mark.parametrize("pid", [6, 7, 10])
+@pytest.mark.parametrize("pid", [2, 6, 7, 10])
 def test_runs_match_the_sequential_reference(pid):
     # Whole runs on the multimodal 2-D problems, where most fallback
-    # tests happen, give the same report with either clustering.
+    # tests happen, and on a 1-D one, whose rows come from the sorted
+    # sample, give the same report with either clustering.
     spec = replace(get_problem(pid), budget=30_000)
     for seed in (0, 1):
         got = orchestrator.run_hillvallea(spec, seed).serialize()
@@ -357,19 +370,23 @@ def test_runs_match_the_sequential_reference(pid):
         assert got == want
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(d=st.integers(1, 3),
        n=st.one_of(st.integers(1, 40), st.integers(1, 2000)),  # pads often
-       grid=st.booleans(), seed=st.integers(0, 2 ** 16))
-def test_neighbour_rows_are_the_full_querys(d, n, grid, seed):
+       kind=st.sampled_from(["uniform", "grid", "far"]),
+       seed=st.integers(0, 2 ** 16))
+def test_neighbour_rows_are_the_full_querys(d, n, kind, seed):
     # The nearest better neighbors and the rows of any subset, against one
-    # query of all points with the shortlist width; a coarse grid ties many
-    # distances, so the narrow first query must often defer to the full one.
-    # Where n < k the full rows end in pads, and where n < NARROW_K the
-    # narrow ones too.
+    # query of all points with the shortlist width. A coarse grid ties many
+    # distances, and so do the gaps of points on a box centred at -3e8,
+    # which are multiples of its spacing of floats, so the narrow first
+    # query must often defer to the full one, and in d = 1 the merge over
+    # the sorted sample to the tree. Where n < k the full rows end in
+    # pads, and where n < NARROW_K the narrow ones too.
     rng = np.random.default_rng(seed)
-    coords = (rng.integers(0, 5, (n, d)) / 4.0 if grid
-              else rng.uniform(0.0, 1.0, (n, d)))
+    coords = {"uniform": lambda: rng.uniform(0.0, 1.0, (n, d)),
+              "grid": lambda: rng.integers(0, 5, (n, d)) / 4.0,
+              "far": lambda: rng.uniform(-3e8 - 0.5, -3e8 + 0.5, (n, d))}[kind]()
     k = 8 * (1 + d)
     tree = cKDTree(coords)
     full = cKDTree(coords).query(coords, k=k)[1]
@@ -377,8 +394,27 @@ def test_neighbour_rows_are_the_full_querys(d, n, grid, seed):
     below = full < ranks[:, None]
     want = np.where(below.any(axis=1), full[ranks, below.argmax(axis=1)], -1)
     assert nearest_better(tree, coords, k).tolist() == want.tolist()
+    if d == 1:
+        rows = line_rows(coords, k)
+        assert rows.tolist() == full.tolist()
+        assert first_better(rows, ranks).tolist() == want.tolist()
     some = rng.choice(n, rng.integers(0, n + 1), replace=False)  # say, roots
     assert shortlist_rows(tree, coords, some, k).tolist() == full[some].tolist()
+
+
+def test_continuous_line_builds_no_tree():
+    # Without ties every 1-D row comes from the merge: no tree is built,
+    # and the clusters are the sequential reference's.
+    spec = _spec(_many_wells, 1)
+    pop = BudgetedEvaluator(spec).evaluate_batch(
+        np.random.default_rng(7).uniform(-2.0, 2.0, (1000, 1)))
+    e_ref = BudgetedEvaluator(spec, used=1000)
+    want = ref.cluster_population(pop, e_ref)
+    e_new = BudgetedEvaluator(spec, used=1000)
+    with mock.patch.object(hillvalley, "cKDTree", side_effect=cKDTree) as tree:
+        _assert_same_clusters(cluster_population(pop, e_new), want)
+    assert tree.call_count == 0
+    assert e_new.used == e_ref.used
 
 
 @settings(max_examples=100, deadline=None)

@@ -208,6 +208,12 @@ class TestRunReport:
         with pytest.raises(ValueError, match="line 3"):
             RunReport.parse("4 11 100\n1.0 2.0 5.0\n1.0 5.0\n")
 
+    def test_error_line_counts_blank_lines(self):
+        with pytest.raises(ValueError, match="^line 4: inconsistent"):
+            RunReport.parse("4 11 100\n\n1.0 2.0 5.0\n1.0 5.0\n")
+        with pytest.raises(ValueError, match="^line 2: expected 'problem_id"):
+            RunReport.parse("\n4 11\n1.0 5.0\n")
+
     @given(coords=st.lists(
         st.lists(st.floats(allow_nan=False, allow_infinity=False,
                            width=64), min_size=2, max_size=2),
@@ -404,6 +410,22 @@ class TestRunInvariants:
         assert len(x) >= 1
         assert ((lower <= x) & (x <= upper)).all()
         assert run_hillvallea(spec, seed).serialize() == report.serialize()
+
+    def test_lopsided_box_counts_test_points(self):
+        # The edge length of this box is about 1e-26, so two points far
+        # apart on its wide axis are more than 2**63 edge lengths apart;
+        # their tests take the capped count, as in the sequential reference.
+        lower, upper = np.zeros(2), np.array([1e-200, 1e150])
+
+        def objective(X):
+            return np.cos(5.0 * (X - lower) / (upper - lower)).sum(axis=1)
+
+        spec = synthetic_spec(objective, lower, upper, [[0.0, 0.0]], budget=3000)
+        report = run_hillvallea(spec, 0)
+        assert report.evaluations == 3000
+        with mock.patch.object(orchestrator, "cluster_population",
+                               ref.cluster_population):
+            assert run_hillvallea(spec, 0).serialize() == report.serialize()
 
 
 def _rows(x):
