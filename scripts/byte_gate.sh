@@ -4,9 +4,10 @@
 #     scripts/byte_gate.sh BASE_SRC HEAD_SRC OUT
 #
 # BASE_SRC and HEAD_SRC are source trees (each put on PYTHONPATH in turn)
-# and OUT a directory for the records of both. Three comparisons:
+# and OUT a directory for the records of both. Four comparisons:
 #   1. `hillvallea run --problems 1-10 --runs 1 --jobs 2` at seeds 0 and
-#      1000: the CSV, stdout and the reports;
+#      1000: the CSV, stdout, stderr (a stray warning from a worker shows
+#      there) and the reports;
 #   2. runs that end mid-search: problems 1, 2, 3 (1-D), 4, 6, 7 (2-D), 8
 #      and 9 (3-D) at budgets 3, 300, 3000 and 12345, both seeds, so every
 #      shortlist width (k = 16, 24, 32) and every 1-D problem, whose rows
@@ -14,7 +15,9 @@
 #      problem 8 is where most core searches end on a predicted local
 #      minimum, and at 3 and 300 evaluations a run ends before its first
 #      archive insert and reports the best point it evaluated;
-#   3. the failing invocations of `scripts/error_paths.sh` (this tree's
+#   3. `hillvallea list`, and `hillvallea score` of every seed-0 report
+#      (each side scores its own): stdout, stderr and exit status;
+#   4. the failing invocations of `scripts/error_paths.sh` (this tree's
 #      list for both sides): stdout, stderr and exit status of each.
 # Every difference is reported; the exit status is 1 if there is any.
 set -u
@@ -35,19 +38,35 @@ for side in base head; do
   for seed in 0 1000; do
     PYTHONPATH="$src" python -m hillvallea.cli run --problems 1-10 --runs 1 --seed "$seed" \
       --jobs 2 --out "$out/$side-$seed.csv" --reports-dir "$out/$side-reports-$seed" \
-      > "$out/$side-$seed.stdout"
+      > "$out/$side-$seed.stdout" 2> "$out/$side-$seed.stderr"
   done
   PYTHONPATH="$src" python -c 'import dataclasses, sys; from hillvallea import get_problem, run_hillvallea; sys.stdout.writelines(run_hillvallea(dataclasses.replace(get_problem(p), budget=b), s).serialize() for s in (0, 1000) for p in (1, 2, 3, 4, 6, 7, 8, 9) for b in (3, 300, 3000, 12345))' \
     > "$out/$side-cuts.txt"
+  mkdir -p "$out/$side-commands"
+  PYTHONPATH="$src" python -m hillvallea.cli list \
+    > "$out/$side-commands/list.out" 2> "$out/$side-commands/list.err"
+  echo $? > "$out/$side-commands/list.status"
+  for report in "$out/$side-reports-0"/problem*_seed0.txt; do
+    name=$(basename "$report" .txt)
+    problem=${name#problem}
+    problem=$((10#${problem%%_*}))
+    # from inside the reports directory, so both sides name the file alike
+    (cd "$out/$side-reports-0" && PYTHONPATH="$src" python -m hillvallea.cli score \
+      "$name.txt" --problem "$problem" \
+      > "$out/$side-commands/$name.out" 2> "$out/$side-commands/$name.err"
+     echo $? > "$out/$side-commands/$name.status")
+  done
   "$here/error_paths.sh" "$src" "$out/$side-errors" > /dev/null
 done
 
 for seed in 0 1000; do
   cmp "$out/base-$seed.csv" "$out/head-$seed.csv" || differ "campaign CSV, seed $seed"
   cmp "$out/base-$seed.stdout" "$out/head-$seed.stdout" || differ "campaign stdout, seed $seed"
+  cmp "$out/base-$seed.stderr" "$out/head-$seed.stderr" || differ "campaign stderr, seed $seed"
   diff -r "$out/base-reports-$seed" "$out/head-reports-$seed" || differ "campaign reports, seed $seed"
 done
 cmp "$out/base-cuts.txt" "$out/head-cuts.txt" || differ "reports at cut budgets"
+diff -r "$out/base-commands" "$out/head-commands" || differ "list and score"
 diff -r "$out/base-errors" "$out/head-errors" || differ "error paths"
 if [ "$status" -eq 0 ]; then echo "byte-identical"; fi
 exit "$status"

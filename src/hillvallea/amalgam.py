@@ -157,7 +157,7 @@ def generation_step(s: CoreSearchState, e: BudgetedEvaluator,
     pop_x, pop_f = s.population
     pop_size = len(pop_f)
     n_sel = math.ceil(SELECTION_FRACTION * pop_size)
-    selection = np.argsort(pop_f, kind="stable")[:n_sel]
+    selection = pop_f.argsort(kind="stable")[:n_sel]
     # Huge finite fitness can sum past the floats, to +-inf or, with a +inf
     # term, NaN; the convergence prediction declines such an a_g.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -181,8 +181,7 @@ def generation_step(s: CoreSearchState, e: BudgetedEvaluator,
     if np.minimum.reduce(off_f) < s.best.f:
         s.best = best_of(off_x, off_f)
         spread = s.multiplier * s.stddev
-        beyond = np.any(np.abs(s.best.x - s.mean) > spread)
-        if beyond:
+        if (np.abs(s.best.x - s.mean) > spread).any():
             s.multiplier = min(s.multiplier * MULTIPLIER_INCREASE, MULTIPLIER_CAP)
     else:
         s.multiplier *= MULTIPLIER_DECREASE

@@ -96,7 +96,10 @@ right gaps, or the quantised gaps of a box far from 0 tie two distances,
 come from one batched query of a tree built only when such a row exists.
 The first tests read ``nearest`` from these rows and the walks read the
 roots' rows from the same array, so in d = 1 neither the narrow query,
-the trust rule, the redo query nor the roots' query runs.
+the trust rule, the redo query nor the roots' query runs. Every tree
+comes from ``kd_tree``, which imports scipy on its first call, so scipy
+is loaded by every d >= 2 run and by 1-D samples with tied distances
+only.
 
 Past the shortlist, the order is ``argsort(kind="stable")`` of the
 squared distances to the better solutions. The first test needs only its
@@ -115,12 +118,14 @@ import heapq
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .problem import BudgetedEvaluator, Solution
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 # Upper bound on test points per pair; the count grows with the distance
 # between the endpoints relative to the expected nearest-neighbor spacing.
@@ -262,6 +267,15 @@ def _next_chunk(points: np.ndarray, x: np.ndarray, passed: float,
     return rest[np.lexsort((rest, d[rest]))], limit
 
 
+def kd_tree(coords: np.ndarray) -> cKDTree:
+    """A KD-tree over the rows of ``coords``. scipy is imported here, on
+    the first call, not with the package: a process that builds no tree
+    (a 1-D run without tied neighbor distances, ``list``, ``score``)
+    never pays its import."""
+    from scipy.spatial import cKDTree
+    return cKDTree(coords)
+
+
 def shortlist_rows(tree: cKDTree, coords: np.ndarray, idx: np.ndarray,
                    k: int) -> np.ndarray:
     """Rows ``idx`` of ``tree.query(coords, k)[1]``, from one query of those
@@ -328,7 +342,7 @@ def line_rows(coords: np.ndarray, k: int) -> np.ndarray:
     rows = rows[:, :k]
     tied = np.flatnonzero(tied)
     if tied.size:
-        rows[tied] = shortlist_rows(cKDTree(coords), coords, tied, k)
+        rows[tied] = shortlist_rows(kd_tree(coords), coords, tied, k)
     return rows
 
 
@@ -379,7 +393,7 @@ def cluster_population(pop: tuple[np.ndarray, np.ndarray],
         rows = line_rows(coords, shortlist_k)
         nearest = first_better(rows, np.arange(n))
     else:
-        tree = cKDTree(coords)
+        tree = kd_tree(coords)
         nearest = nearest_better(tree, coords, shortlist_k)
     # Where the shortlist has no better neighbor, the nearest one past it
     # (the first on ties, as ``nearest_first`` would give it).

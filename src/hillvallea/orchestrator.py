@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .amalgam import ELITE_TEST_POINTS, check_reexploration, run_core_search
-from .hillvalley import cluster_population, hill_valley_test
+from .hillvalley import cluster_population, hill_valley_test, squared_distances
 from .problem import (BudgetedEvaluator, BudgetExhausted, ProblemSpec,
                       Solution, best_of, uniform_init)
 
@@ -59,8 +59,12 @@ class ElitistArchive:
 
     def nearest_index(self, x: np.ndarray) -> int:
         """Index of the elite closest to ``x`` (first one on ties), by the
-        ``np.linalg.norm`` distances; their ``sqrt`` can merge squares, which decides ties."""
-        return int(np.sqrt(np.add.reduce((self.x - x) ** 2, axis=1)).argmin())
+        distances of ``squared_distances``; their ``sqrt`` can merge squares,
+        which decides ties. Below eight coordinates these are the
+        ``np.linalg.norm`` distances bit for bit; from eight on, each row's
+        squares are added left to right, as in clustering, where numpy sums
+        them pairwise."""
+        return int(np.sqrt(squared_distances(self.x, x)).argmin())
 
     def add(self, s: Solution, gens: int) -> None:
         self.x = np.vstack([self.x.reshape(-1, len(s.x)), s.x])

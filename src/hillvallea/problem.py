@@ -116,7 +116,7 @@ class Solution:
 
 def best_of(x: np.ndarray, f: np.ndarray) -> Solution:
     """The first fittest row of a non-empty population, as a copy."""
-    i = int(np.argmin(f))
+    i = int(f.argmin())
     return Solution(x[i].copy(), float(f[i]))
 
 

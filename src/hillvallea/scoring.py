@@ -58,7 +58,11 @@ def score(reported: tuple[np.ndarray, np.ndarray], spec: ProblemSpec,
                          f"problem {spec.id} has dimension {spec.dimension}")
     err = np.abs(f - spec.optimum_fitness)
     rows = np.flatnonzero((err <= epsilon) & np.isfinite(x).all(axis=1))
-    dists = np.linalg.norm(spec.known_optima - x[rows, None, :], axis=2)
+    # A coordinate past about 1e154 overflows the squared distance to inf,
+    # which is past every niche radius: the row matches nothing, as it
+    # should, so the overflow is no error.
+    with np.errstate(over="ignore"):
+        dists = np.linalg.norm(spec.known_optima - x[rows, None, :], axis=2)
     i, j = np.nonzero(dists <= spec.niche_radius)
     i = rows[i]
 

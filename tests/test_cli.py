@@ -1,5 +1,10 @@
 import csv
+import dataclasses
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +13,7 @@ from hillvallea import cli
 from hillvallea.benchmarks import UnavailableProblem, get_problem
 from hillvallea.cli import (CSV_HEADER, CampaignConfig, cmd_list, main,
                             parse_problem_ids, pool_workers)
-from hillvallea.orchestrator import RunReport
+from hillvallea.orchestrator import RunReport, run_hillvallea
 
 
 def assert_failed(capfd, rc, message):
@@ -352,6 +357,13 @@ class TestScoreCommand:
         assert "peak_ratio = 1.0" in out
         assert "static_f1 = 1.0" in out
 
+    def test_huge_coordinate_scores_quietly(self, tmp_path, capfd):
+        report = tmp_path / "huge.txt"
+        report.write_text("1 0 100\n1e200 200.0\n")
+        rc = main(["score", str(report), "--problem", "1"])
+        assert (rc, *capfd.readouterr()) == (
+            0, "peak_ratio = 0.0\nstatic_f1 = 0.0\nf1_harmonic = 0.0\n", "")
+
     def test_problem_mismatch_fails(self, tmp_path, capfd):
         report = tmp_path / "r.txt"
         report.write_text("2 0 100\n0.1 1.0\n")
@@ -412,3 +424,34 @@ class TestScoreCommand:
             main(["score", str(report), "--problem", "2", "--epsilon", epsilon])
         assert exc_info.value.code == 2
         assert "epsilon must be finite" in capfd.readouterr().err
+
+
+# `list`, a 1-D run without tied neighbour distances and `score` build no
+# KD-tree, so they must not import scipy; the first 2-D clustering does.
+FRESH_PROCESS = """\
+import contextlib, dataclasses, io, sys
+from hillvallea import cli, get_problem, run_hillvallea
+
+def cut(problem, budget):
+    return run_hillvallea(dataclasses.replace(get_problem(problem), budget=budget), 0)
+
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["list"])]
+    with open("r2.txt", "w") as fh:
+        fh.write(cut(2, 3000).serialize())
+    codes.append(cli.main(["score", "r2.txt", "--problem", "2"]))
+print(codes, "scipy" in sys.modules)
+report = cut(4, 2000).serialize()
+print("scipy" in sys.modules)
+sys.stdout.write(report)
+"""
+
+
+def test_scipy_is_imported_with_the_first_tree(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", FRESH_PROCESS], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, check=True, timeout=120).stdout
+    before, after, report = out.split("\n", 2)
+    assert (before, after) == ("[0, 0] False", "True")
+    want = run_hillvallea(dataclasses.replace(get_problem(4), budget=2000), 0)
+    assert report == want.serialize()

@@ -411,7 +411,7 @@ def test_continuous_line_builds_no_tree():
     e_ref = BudgetedEvaluator(spec, used=1000)
     want = ref.cluster_population(pop, e_ref)
     e_new = BudgetedEvaluator(spec, used=1000)
-    with mock.patch.object(hillvalley, "cKDTree", side_effect=cKDTree) as tree:
+    with mock.patch.object(hillvalley, "kd_tree", wraps=hillvalley.kd_tree) as tree:
         _assert_same_clusters(cluster_population(pop, e_new), want)
     assert tree.call_count == 0
     assert e_new.used == e_ref.used

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from unittest import mock
 
@@ -76,20 +77,41 @@ class TestArchiveInsert:
         assert a.elite(a.nearest_index(np.array([0.8]))).x[0] == pytest.approx(1.0)
         assert a.nearest_index(np.array([-0.4])) == 1
 
-    @settings(max_examples=300, deadline=None)
-    @given(k=st.integers(1, 30), d=st.integers(1, 3), nudge=st.booleans(),
-           seed=st.integers(0, 2 ** 16))
-    def test_nearest_index_is_the_norm_argmin(self, k, d, nudge, seed):
-        # grid points tie at equal distances; a nudged copy lies one ulp
-        # off its row, where the sqrt can merge two squared distances
+    @staticmethod
+    def _tied_elites(k, d, nudge, seed):
+        """Grid elites, which tie at equal distances, and a grid point; a
+        nudged copy lies one ulp off its row, where the sqrt can merge two
+        squared distances."""
         rng = np.random.default_rng(seed)
         x = rng.integers(0, 4, (k, d)) / 4.0
         if nudge:
             x = x + rng.uniform(0.0, 1.0)
             x = np.vstack([x, np.nextafter(x, np.inf)])[rng.permutation(2 * k)]
-        p = rng.integers(0, 4, d) / 4.0
+        return x, rng.integers(0, 4, d) / 4.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(k=st.integers(1, 30), d=st.integers(1, 7), nudge=st.booleans(),
+           seed=st.integers(0, 2 ** 16))
+    def test_nearest_index_is_the_norm_argmin(self, k, d, nudge, seed):
+        x, p = self._tied_elites(k, d, nudge, seed)
         a = ElitistArchive(x=x, f=np.zeros(len(x)))
         assert a.nearest_index(p) == int(np.argmin(np.linalg.norm(x - p, axis=1)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(k=st.integers(1, 30), d=st.integers(8, 12), nudge=st.booleans(),
+           seed=st.integers(0, 2 ** 16))
+    def test_nearest_index_sums_long_rows_left_to_right(self, k, d, nudge, seed):
+        # from eight coordinates on, numpy's norm sums pairwise; the lookup
+        # adds each row's squares left to right, as clustering does
+        x, p = self._tied_elites(k, d, nudge, seed)
+        dists = []
+        for row in x:
+            total = 0.0
+            for xi, pi in zip(row.tolist(), p.tolist()):
+                total += (xi - pi) ** 2
+            dists.append(math.sqrt(total))
+        a = ElitistArchive(x=x, f=np.zeros(len(x)))
+        assert a.nearest_index(p) == dists.index(min(dists))
 
     @settings(max_examples=300, deadline=None)
     @given(d=st.integers(1, 2), wells=st.integers(1, 4), k=st.integers(1, 6),

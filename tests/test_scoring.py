@@ -76,6 +76,16 @@ class TestScore:
         assert s.peaks_found == 1
         assert s.static_f1 == pytest.approx(1 / 3)
 
+    @pytest.mark.parametrize("problem, x", [
+        (1, [1e200]), (1, [1e308]), (1, [-1e308]),
+        (4, [1e200, 2.0]), (4, [3.0, 1e308]), (4, [-1e308, -1e308])])
+    def test_huge_coordinate_claims_no_optimum(self, problem, x):
+        # Its squared distance overflows to inf, past every niche radius,
+        # and quietly: the suite turns a RuntimeWarning into an error.
+        spec = get_problem(problem)
+        s = score((np.array([x]), np.array([spec.optimum_fitness])), spec)
+        assert (s.peaks_found, s.static_f1) == (0, 0.0)
+
     def test_distance_outside_niche_radius_rejected(self):
         reported = _pair([0.1 + 0.011], [1.0])
         assert score(reported, SPEC2).peaks_found == 0
