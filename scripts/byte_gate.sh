@@ -8,13 +8,14 @@
 #   1. `hillvallea run --problems 1-10 --runs 1 --jobs 2` at seeds 0 and
 #      1000: the CSV, stdout, stderr (a stray warning from a worker shows
 #      there) and the reports;
-#   2. runs that end mid-search: problems 1, 2, 3 (1-D), 4, 6, 7 (2-D), 8
-#      and 9 (3-D) at budgets 3, 300, 3000 and 12345, both seeds, so every
-#      shortlist width (k = 16, 24, 32) and every 1-D problem, whose rows
-#      come from the sorted sample, meets budgets that end mid-run;
-#      problem 8 is where most core searches end on a predicted local
-#      minimum, and at 3 and 300 evaluations a run ends before its first
-#      archive insert and reports the best point it evaluated;
+#   2. runs that end mid-search: every problem, 1, 2, 3 (1-D), 4, 5, 6, 7,
+#      10 (2-D), 8 and 9 (3-D), at budgets 3, 300, 3000 and 12345, both
+#      seeds, so every shortlist width (k = 16, 24, 32) and every problem,
+#      whether its rows come from the sorted sample or a KD-tree, meets
+#      budgets that end mid-run; problem 8 is where most core searches end
+#      on a predicted local minimum, and at 3 and 300 evaluations a run
+#      ends before its first archive insert and reports the best point it
+#      evaluated;
 #   3. `hillvallea list`, and `hillvallea score` of every seed-0 report
 #      (each side scores its own): stdout, stderr and exit status;
 #   4. the failing invocations of `scripts/error_paths.sh` (this tree's
@@ -40,7 +41,7 @@ for side in base head; do
       --jobs 2 --out "$out/$side-$seed.csv" --reports-dir "$out/$side-reports-$seed" \
       > "$out/$side-$seed.stdout" 2> "$out/$side-$seed.stderr"
   done
-  PYTHONPATH="$src" python -c 'import dataclasses, sys; from hillvallea import get_problem, run_hillvallea; sys.stdout.writelines(run_hillvallea(dataclasses.replace(get_problem(p), budget=b), s).serialize() for s in (0, 1000) for p in (1, 2, 3, 4, 6, 7, 8, 9) for b in (3, 300, 3000, 12345))' \
+  PYTHONPATH="$src" python -c 'import dataclasses, sys; from hillvallea import get_problem, run_hillvallea; sys.stdout.writelines(run_hillvallea(dataclasses.replace(get_problem(p), budget=b), s).serialize() for s in (0, 1000) for p in range(1, 11) for b in (3, 300, 3000, 12345))' \
     > "$out/$side-cuts.txt"
   mkdir -p "$out/$side-commands"
   PYTHONPATH="$src" python -m hillvallea.cli list \

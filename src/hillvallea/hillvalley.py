@@ -59,57 +59,24 @@ run in later rounds than its earlier tests, so one stable sort of all
 members by (cluster, rank), with the solutions ahead of the test points
 and the test points in evaluation order, gives the same member order.
 
-Neighbor order. The neighbors of rank i are the solutions ranked before
-i in its shortlist (row i of a KD-tree's ``query(coords, k)`` with
-k = 8 * (1 + d)), in shortlist order, then, if the walk gets past them,
-the other better solutions by distance. When k is at least the
-population size n, the row holds every point (cKDTree pads it with
-index n at distance inf), so no walk gets past it.
-
-Only two readers need a shortlist: the first test needs each solution's
-nearest better neighbor (the first entry ``j < i`` of its row, or, when
-the row has none, the nearest better solution past it), and the fallback
-walks need the rows of the roots. So every point is first queried with
-only ``NARROW_K`` neighbors, and the first ``j < i`` of that narrow row
-is trusted when its distance is below the row's last one and no other
-entry of the row has its distance. Then every point nearer than ``j`` is
-in the narrow row, ahead of ``j``, and is not better, and no other point
-lies at ``j``'s distance, so ``j`` is also the first better entry of the
-full row, however the tree orders ties. (The narrow row is no prefix of
-the full one: cKDTree orders tied neighbors differently for different
-k, so nothing else is read from it.) The other points get their full
-rows from one batched ``query(coords[idx], k)``, which serves this trust
-rule alone; once the first tests have picked the roots, the walks take
-the roots' rows from one more such query. A batched query gives each
-point the row the whole-population query gives it.
-
-In one dimension (d = 1, k = 16) the sorted sample already holds every
-point's nearest neighbors, so ``line_rows`` builds all rows without a
-tree, in one vectorized merge over ``argsort(kind="stable")`` order: each
-step takes the nearer of a point's next-left and next-right neighbors by
-squared gap ``(c_j - c_i) ** 2``, the arithmetic cKDTree uses for one
-coordinate, and index n pads short rows as in cKDTree. A row whose first
-k + 1 squared distances are all distinct (the inf pads aside) has one
-k-nearest set in one order, so it is the tree's row, however the tree
-orders tied points. The other rows, where duplicates, equal left and
-right gaps, or the quantised gaps of a box far from 0 tie two distances,
-come from one batched query of a tree built only when such a row exists.
-The first tests read ``nearest`` from these rows and the walks read the
-roots' rows from the same array, so in d = 1 neither the narrow query,
-the trust rule, the redo query nor the roots' query runs. Every tree
-comes from ``kd_tree``, which imports scipy on its first call, so scipy
-is loaded by every d >= 2 run and by 1-D samples with tied distances
-only.
-
-Past the shortlist, the order is ``argsort(kind="stable")`` of the
-squared distances to the better solutions. The first test needs only its
-head, the ``argmin`` of those distances (the first of the nearest). The
-walks take it a chunk at a time from ``nearest_first``, so a walk that
-stops early costs O(i) instead of a full sort. ``squared_distances`` adds
-each row's squares left to right, a column at a time over a column-major
-copy of the coordinates, made once per clustering, so the order is the
-same in every dimension. A root's walk is dropped as soon as the root is
-decided.
+Neighbor order. The neighbors of rank i are the other solutions in
+ascending order of (``squared_distances`` over box-normalized coordinates,
+index); its better neighbors are the ones ranked before i, in that order.
+The first test takes the first of them, and a root's walk takes them up to
+its last test. A shortlist only proposes each row's first k = 8 * (1 + d)
+entries: a KD-tree query in d >= 2, one merge over the sorted sample in
+d = 1, where scipy is never imported. A proposed row is read as it is only
+when its distances rise by more than ``ROUNDING_MARGIN`` at every step up
+to entry k + 1. Only the other rows are sorted exactly: in d = 1 over the
+points out to their tie (``line_rows``), in d >= 2 over all points, as
+the walk goes (``shortlist_rows``). The first tests query every point with
+``NARROW_K`` neighbors and take full rows only for the points those leave
+without a better neighbor; the walks take the roots' full rows. A walk
+continues past its row from the (distance, index) pair of the row's last
+better entry, a chunk at a time from ``nearest_first``, so a walk that
+stops early costs O(i) instead of a full sort; where no row holds a
+better neighbor, the first test's is the ``argmin`` of the distances to
+all better solutions.
 """
 
 from __future__ import annotations
@@ -135,10 +102,18 @@ MAX_TEST_POINTS = 5
 EXTRA_ATTEMPTS_PER_DIM = 1
 
 # Neighbors per point in the first KD-tree query (d >= 2), which only
-# finds the nearest better neighbors it can vouch for (see "Neighbor
-# order" above); 6 or 7 ran fastest on the CEC2013 samples of d = 1 to 3,
-# where 6-8% of the points then needed their full shortlist.
+# finds the nearest better neighbors its rows prove (see "Neighbor order"
+# above); 6 or 7 ran fastest on the CEC2013 samples of d = 1 to 3, where
+# 6-8% of the points then needed their full shortlist.
 NARROW_K = 6
+
+# Relative rise of a proposed row's distances, from each entry to the
+# next, past which the entries before it are the nearest points by
+# ``squared_distances`` too. The KD-tree adds a row's squares in another
+# order and takes a square root, which moves a distance by less than
+# d * 2**-52 of itself: the margin covers that below about 4 million
+# dimensions.
+ROUNDING_MARGIN = 1e-9
 
 
 @dataclass
@@ -219,69 +194,86 @@ def expected_edge_length(spec, pop_size: int) -> float:
                     / spec.dimension)
 
 
-def nearest_first(points: np.ndarray, x: np.ndarray,
-                  chunk: int) -> Iterator[np.ndarray]:
-    """Yield the row indices of ``points`` from nearest to ``x`` outwards,
-    in ``argsort(kind="stable")`` order of the squared distances, as
-    consecutive index arrays. The fallback walks read it past the
-    shortlist; its first index is the ``argmin`` of those distances.
+def nearest_first(points: np.ndarray, x: np.ndarray, chunk: int,
+                  last: int = -1) -> Iterator[np.ndarray]:
+    """Yield, in ascending (squared distance to ``x``, index) order, the row
+    indices of ``points`` that come after row ``last`` in that order (all
+    of them for -1), as consecutive index arrays. The fallback walks read
+    it past their rows; from the start, its first index is the ``argmin``
+    of those distances.
 
     Works a chunk at a time, so a caller that stops early pays O(len)
     rather than a full sort; each chunk is eight times the last, so a
-    caller that walks far needs few chunks. Between chunks only the
-    largest distance yielded so far is kept, and the next chunk computes
-    the distances again, so a paused caller holds O(chunk) memory rather
-    than O(len).
+    caller that walks far needs few chunks. Between chunks only the last
+    row yielded is kept, and the next chunk computes the distances again,
+    so a paused caller holds O(chunk) memory rather than O(len).
     """
-    passed = -np.inf
-    while passed < np.inf:
-        order, passed = _next_chunk(points, x, passed, chunk)
+    while True:
+        order, more = _next_chunk(points, x, last, chunk)
         yield order
-        chunk *= 8
+        if not more:
+            return
+        last, chunk = order[-1], chunk * 8
 
 
 def squared_distances(points: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The squared distances from ``x`` to the rows of ``points``, each
     row's squares added left to right, a column at a time, which is fast
-    when ``points`` is column-major. Below eight columns this is numpy's
-    ``((points - x) ** 2).sum(axis=1)`` bit for bit; numpy sums longer
-    rows pairwise."""
-    cols = points.T
-    d = (cols[0] - x[0]) ** 2
-    for k in range(1, len(x)):
-        d += (cols[k] - x[k]) ** 2
+    when ``points`` is column-major. ``x`` is one point, or any array of
+    points that broadcasts against ``points`` (one per row, say). Below
+    eight columns this is numpy's ``((points - x) ** 2).sum(axis=-1)`` bit
+    for bit; numpy sums longer rows pairwise."""
+    d = (points[..., 0] - x[..., 0]) ** 2
+    for k in range(1, x.shape[-1]):
+        d += (points[..., k] - x[..., k]) ** 2
     return d
 
 
-def _next_chunk(points: np.ndarray, x: np.ndarray, passed: float,
-                chunk: int) -> tuple[np.ndarray, float]:
-    """The rows whose squared distance to ``x`` exceeds ``passed``, up to
-    and including every tie of the ``chunk``-th smallest such distance, in
-    (distance, index) order; and that distance, or inf if no row is left."""
+def _next_chunk(points: np.ndarray, x: np.ndarray, last: int,
+                chunk: int) -> tuple[np.ndarray, bool]:
+    """The rows past row ``last``'s (squared distance to ``x``, index) pair
+    (all rows for -1), up to and including every tie of the ``chunk``-th
+    smallest distance among them, in (distance, index) order; and whether
+    any row is left past them."""
     d = squared_distances(points, x)
-    rest = np.flatnonzero(d > passed)
-    limit = np.inf
-    if rest.size > chunk:
+    passed = d[last] if last >= 0 else -np.inf
+    past = d > passed
+    past[last + 1:] |= d[last + 1:] == passed
+    rest = np.flatnonzero(past)
+    more = rest.size > chunk
+    if more:
         limit = np.partition(d[rest], chunk - 1)[chunk - 1]
         rest = rest[d[rest] <= limit]
-    return rest[np.lexsort((rest, d[rest]))], limit
+    return rest[np.lexsort((rest, d[rest]))], more
 
 
 def kd_tree(coords: np.ndarray) -> cKDTree:
     """A KD-tree over the rows of ``coords``. scipy is imported here, on
     the first call, not with the package: a process that builds no tree
-    (a 1-D run without tied neighbor distances, ``list``, ``score``)
-    never pays its import."""
+    (a 1-D run, ``list``, ``score``) never pays its import."""
     from scipy.spatial import cKDTree
     return cKDTree(coords)
 
 
+def _tied(dist: np.ndarray) -> np.ndarray:
+    """Which rows of ascending distances ``dist`` have a step that does
+    not rise by more than ``ROUNDING_MARGIN``; two pads (inf) are a tie,
+    so the rows of a population smaller than k all count as tied."""
+    return ~(dist[:, 1:] > dist[:, :-1] * (1 + ROUNDING_MARGIN)).all(axis=1)
+
+
 def shortlist_rows(tree: cKDTree, coords: np.ndarray, idx: np.ndarray,
                    k: int) -> np.ndarray:
-    """Rows ``idx`` of ``tree.query(coords, k)[1]``, from one query of those
-    points alone: a point's row does not depend on the points queried
-    with it."""
-    return tree.query(coords[idx], k=k)[1]
+    """The rows of points ``idx`` in neighbor order, k entries each, from
+    one query of their k + 1 nearest points. Where the distances the tree
+    returns rise by more than the margin at every step, the first k are
+    the nearest points in that order by ``squared_distances`` too, and the
+    row is read as it is. Any other row is left empty (index n throughout),
+    so that its point's better neighbors come from all of them, sorted
+    exactly: the first by ``argmin``, the walk's by ``nearest_first``."""
+    dist, rows = tree.query(coords[idx], k=k + 1)
+    rows[_tied(dist)] = len(coords)
+    return rows[:, :k]
 
 
 def first_better(rows: np.ndarray, ranks: np.ndarray) -> np.ndarray:
@@ -293,67 +285,61 @@ def first_better(rows: np.ndarray, ranks: np.ndarray) -> np.ndarray:
 
 
 def nearest_better(tree: cKDTree, coords: np.ndarray, k: int) -> np.ndarray:
-    """The first entry ``j < i`` of each row i of ``tree.query(coords, k)[1]``,
-    or -1 where the row has none (always for row 0). Only the points whose
-    ``NARROW_K`` row leaves the answer open get their full rows, which serve
-    the trust rule alone (see "Neighbor order" in the module docstring)."""
+    """Each point's first better neighbor in its row of ``shortlist_rows``,
+    or -1 where the row holds none (always for rank 0). Only the points
+    whose row of ``NARROW_K`` nearest holds none get their full rows."""
     ranks = np.arange(len(coords))
-    dist, nn = tree.query(coords, k=NARROW_K)
-    below = nn < ranks[:, None]
-    first = below.argmax(axis=1)
-    nearest = nn[ranks, first]
-    near = dist[ranks, first][:, None]
-    trusted = (below.any(axis=1) & (near[:, 0] < dist[:, -1])
-               & ((dist == near).sum(axis=1) == 1))
-    redo = np.flatnonzero(~trusted[1:]) + 1
+    nearest = first_better(shortlist_rows(tree, coords, ranks, NARROW_K - 1), ranks)
+    redo = np.flatnonzero(nearest[1:] < 0) + 1
     nearest[redo] = first_better(shortlist_rows(tree, coords, redo, k), redo)
-    nearest[0] = -1
     return nearest
 
 
 def line_rows(coords: np.ndarray, k: int) -> np.ndarray:
-    """``cKDTree(coords).query(coords, k)[1]`` for one coordinate
-    (``coords`` of shape (n, 1)), from one merge over the sorted sample;
-    only the rows with a tie among their first k + 1 distances come from
-    the tree (see "Neighbor order" in the module docstring)."""
+    """Every point's row in neighbor order, k entries each and index n past
+    the end, for one coordinate (``coords`` of shape (n, 1)), from one merge
+    over the sorted sample: each step takes the nearer of a point's
+    next-left and next-right places by squared gap, which is
+    ``squared_distances`` in one coordinate, starting from the point's own
+    place. A row whose first k + 1 distances do not all rise by more than
+    the margin goes on across its tie, through every point no farther than
+    its k-th entry, and is sorted by (distance, index)."""
     n = len(coords)
     c = coords[:, 0]
     order = np.argsort(c, kind="stable")
     pad = np.full(k, np.inf)  # a pad is never nearer than a point
     line = np.concatenate((-pad, c[order], pad))
     index = np.concatenate((np.full(k, n), order, np.full(k, n)))
-    left = np.empty(n, dtype=np.intp)  # each point's next-left place in line
-    left[order] = np.arange(k - 1, k - 1 + n)
-    right = left + 2
-    rows = np.full((n, k + 1), n)  # a step past the row, to test its end
-    rows[:, 0] = np.arange(n)
-    last = np.zeros(n)  # the squared distance of the entry before
-    tied = np.zeros(n, dtype=bool)
-    for col in range(1, min(k, n - 1) + 1):  # past n - 1 only pads are left
+    left = np.empty(n, dtype=np.intp)  # each point's place in line, then next-left
+    left[order] = np.arange(k, k + n)
+    right = left + 1
+    # column i: point i's row and a step past it, to test its end
+    rows = np.full((k + 1, n), n)
+    dist = np.full((k + 1, n), np.inf)
+    for col in range(min(k + 1, n)):  # past n only pads are left
         dl = (line[left] - c) ** 2
         dr = (line[right] - c) ** 2
         go_left = dl < dr
-        rows[:, col] = index[np.where(go_left, left, right)]
-        dist = np.minimum(dl, dr)
-        tied |= dist == last
-        last = dist
+        rows[col] = index[np.where(go_left, left, right)]
+        dist[col] = np.minimum(dl, dr)
         left -= go_left
         right += ~go_left
-    rows = rows[:, :k]
-    tied = np.flatnonzero(tied)
-    if tied.size:
-        rows[tied] = shortlist_rows(kd_tree(coords), coords, tied, k)
-    return rows
+    tied = np.flatnonzero(_tied(dist.T))
+    reach, ct = dist[k - 1, tied], c[tied]
+    ends = np.array([left[tied], right[tied]])
+    while (on := ((line[ends] - ct) ** 2 <= reach) & (index[ends] < n)).any():
+        ends += on * np.array([[-1], [1]])  # out across the tie, a place a pass
+    for i, a, b in zip(tied.tolist(), (ends[0] + 1).tolist(), ends[1].tolist()):
+        near = index[a:b]
+        near = near[np.lexsort((near, squared_distances(coords[near], coords[i])))][:k]
+        rows[:len(near), i] = near
+    return rows[:k].T
 
 
 def _test_point_counts(starts: np.ndarray, ends: np.ndarray,
                        edge_length: float) -> np.ndarray:
     """Test points per row pair: one per expected edge length, capped."""
-    diff = starts - ends
-    # A row-wise matmul runs the same dot kernel as ``np.linalg.norm`` of
-    # one vector, so a batched count equals a pairwise one bit for bit;
-    # summing the squares can round differently.
-    dist = np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
+    dist = np.sqrt(squared_distances(starts, ends))
     # capped before the cast, which a ratio of 2**63 or more would overflow
     return 1 + np.minimum(dist / edge_length, MAX_TEST_POINTS - 1).astype(int)
 
@@ -395,22 +381,18 @@ def cluster_population(pop: tuple[np.ndarray, np.ndarray],
     else:
         tree = kd_tree(coords)
         nearest = nearest_better(tree, coords, shortlist_k)
-    # Where the shortlist has no better neighbor, the nearest one past it
-    # (the first on ties, as ``nearest_first`` would give it).
+    # Where the shortlist has no better neighbor, the first one past it.
     for i in np.flatnonzero(nearest[1:] < 0) + 1:
         nearest[i] = squared_distances(columns[:i], coords[i]).argmin()
 
     def better_neighbors(i):
         """Rank ``i``'s better neighbors in walk order, as index arrays."""
-        row = rows[i]
-        row = row[row < i]
-        yield row
-        if len(row) == i:
-            return
-        seen = np.zeros(i, dtype=bool)
-        seen[row] = True
-        for chunk in nearest_first(columns[:i], coords[i], 2 * shortlist_k):
-            yield chunk[~seen[chunk]]
+        better = rows[i][rows[i] < i]
+        yield better
+        # On from the row's last better entry: the row holds every point
+        # before its own end, so every better one after that entry is past it.
+        yield from nearest_first(columns[:i], coords[i], 2 * shortlist_k,
+                                 better[-1] if len(better) else -1)
 
     root = np.arange(n)  # root[i]: whose cluster i shares
     label = np.zeros(n, dtype=int)  # cluster of each root: its founder's rank
@@ -420,10 +402,11 @@ def cluster_population(pop: tuple[np.ndarray, np.ndarray],
     def run_tests(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Test rank ``a[p]`` against rank ``b[p]`` for every p at once;
         file the accepted test points under ``a`` and return which passed."""
-        n_test = _test_point_counts(xs[a], xs[b], edge)
-        n_test[(xs[a] == xs[b]).all(axis=1)] = 0
+        xa, xb = xs[a], xs[b]
+        n_test = _test_point_counts(xa, xb, edge)
+        n_test[(xa == xb).all(axis=1)] = 0
         owner, tx, tf, ok = hill_valley_tests(
-            xs[a], xs[b], np.maximum(fs[a], fs[b]), n_test, e)
+            xa, xb, np.maximum(fs[a], fs[b]), n_test, e)
         tests.append((a[owner[ok]], tx[ok], tf[ok]))
         passed = np.ones(len(a), dtype=bool)
         passed[owner[~ok]] = False

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .hillvalley import squared_distances
 from .problem import ProblemSpec
 
 DEFAULT_EPSILON = 1e-5
@@ -62,7 +63,7 @@ def score(reported: tuple[np.ndarray, np.ndarray], spec: ProblemSpec,
     # which is past every niche radius: the row matches nothing, as it
     # should, so the overflow is no error.
     with np.errstate(over="ignore"):
-        dists = np.linalg.norm(spec.known_optima - x[rows, None, :], axis=2)
+        dists = np.sqrt(squared_distances(spec.known_optima, x[rows, None, :]))
     i, j = np.nonzero(dists <= spec.niche_radius)
     i = rows[i]
 

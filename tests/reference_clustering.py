@@ -3,13 +3,15 @@ batched ``hillvallea.hillvalley.cluster_population`` must match: same
 clusters, same member order, same evaluations. Every test point is
 evaluated on its own, and each test stops at its first violator. It takes
 and returns the same types: a population pair ``(x, f)`` in, clusters of
-``(x, f)`` rows out.
+``(x, f)`` rows out. Its neighbor order is the definition: the better
+solutions in ascending (squared distance, index) order, each distance's
+squares added left to right, from all of them, by brute force.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from hillvallea.hillvalley import (EXTRA_ATTEMPTS_PER_DIM, MAX_TEST_POINTS,
                                    expected_edge_length)
@@ -37,7 +39,7 @@ def hill_valley_test(a, b, n_test, e):
 
 
 def test_point_count(a, b, edge_length):
-    dist = float(np.linalg.norm(a.x - b.x))
+    dist = math.sqrt(sum(v * v for v in (a.x - b.x).tolist()))
     return min(MAX_TEST_POINTS, 1 + int(dist / edge_length))
 
 
@@ -59,22 +61,11 @@ def cluster_population(pop, e):
     cluster_of = [0]
     max_attempts = 1 + d * EXTRA_ATTEMPTS_PER_DIM
     n = len(ranked)
-    # rows of a population smaller than the shortlist end in pads (index n)
-    nn = cKDTree(coords).query(coords, k=8 * max_attempts)[1]
 
     def better_neighbors(i):
-        seen = set()
-        for j in nn[i]:
-            if j < i:
-                seen.add(int(j))
-                yield int(j)
-        if len(seen) == i:
-            return
-        # each row's squares added left to right
         dists = sum((coords[:i, k] - coords[i, k]) ** 2 for k in range(d))
-        for j in np.argsort(dists, kind="stable"):
-            if int(j) not in seen:
-                yield int(j)
+        yield int(dists.argmin())  # the first of the nearest, without a sort
+        yield from np.argsort(dists, kind="stable")[1:].tolist()
 
     for i in range(1, n):
         x = ranked[i]

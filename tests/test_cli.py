@@ -426,11 +426,16 @@ class TestScoreCommand:
         assert "epsilon must be finite" in capfd.readouterr().err
 
 
-# `list`, a 1-D run without tied neighbour distances and `score` build no
-# KD-tree, so they must not import scipy; the first 2-D clustering does.
+# `list`, `score` and 1-D runs build no KD-tree, so they must not import
+# scipy; the first 2-D clustering does. One 1-D run is on a box centred at
+# -3e8, whose gaps are multiples of its spacing of floats, so its samples
+# have points whose left and right gaps tie, and their rows go on across
+# the tie; the script counts those points.
 FRESH_PROCESS = """\
 import contextlib, dataclasses, io, sys
-from hillvallea import cli, get_problem, run_hillvallea
+import numpy as np
+from hillvallea import cli, get_problem, hillvalley, run_hillvallea
+from hillvallea.problem import ProblemSpec
 
 def cut(problem, budget):
     return run_hillvallea(dataclasses.replace(get_problem(problem), budget=budget), 0)
@@ -441,6 +446,20 @@ with contextlib.redirect_stdout(io.StringIO()):
         fh.write(cut(2, 3000).serialize())
     codes.append(cli.main(["score", "r2.txt", "--problem", "2"]))
 print(codes, "scipy" in sys.modules)
+far = ProblemSpec(id=0, name="far line", dimension=1, lower=[-3e8 - 5e-5],
+                  upper=[-3e8 + 5e-5], budget=2000, known_optima=[[-3e8]],
+                  optimum_fitness=-1.0, niche_radius=1e-6, maximize=False,
+                  objective=lambda X: np.cos(4e5 * (X[:, 0] + 3e8)))
+ties, line_rows = [], hillvalley.line_rows
+
+def spy(coords, k):
+    gaps = np.diff(np.sort(coords[:, 0]))
+    ties.append(int((gaps[1:] == gaps[:-1]).sum()))
+    return line_rows(coords, k)
+
+hillvalley.line_rows = spy
+run_hillvallea(far, 0)
+print(sum(ties) > 0, "scipy" in sys.modules)
 report = cut(4, 2000).serialize()
 print("scipy" in sys.modules)
 sys.stdout.write(report)
@@ -451,7 +470,7 @@ def test_scipy_is_imported_with_the_first_tree(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     out = subprocess.run([sys.executable, "-c", FRESH_PROCESS], cwd=tmp_path, env=env,
                          capture_output=True, text=True, check=True, timeout=120).stdout
-    before, after, report = out.split("\n", 2)
-    assert (before, after) == ("[0, 0] False", "True")
+    before, far, after, report = out.split("\n", 3)
+    assert (before, far, after) == ("[0, 0] False", "True False", "True")
     want = run_hillvallea(dataclasses.replace(get_problem(4), budget=2000), 0)
     assert report == want.serialize()

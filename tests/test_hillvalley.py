@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial import cKDTree
 
 from hillvallea import hillvalley, orchestrator
 from hillvallea.benchmarks import get_problem
 from hillvallea.hillvalley import (MAX_TEST_POINTS, cluster_population,
-                                   expected_edge_length, first_better,
+                                   expected_edge_length, kd_tree,
                                    line_rows, nearest_better, nearest_first,
                                    shortlist_rows, squared_distances)
 from hillvallea.hillvalley import _test_point_counts as point_counts
@@ -288,29 +287,16 @@ class TestBatchedClusteringEquivalence:
                                             (3, 700, 2), (3, 1500, 3)])
     def test_large_tied_populations(self, d, n, seed):
         # Grid ties in populations far beyond the shortlist width, where
-        # the narrow first query and the batched full rows both serve, and
-        # in d = 1 the tree serves the tied rows.
+        # many KD rows are left empty at a tie and 1-D rows go on across
+        # it.
         spec = _spec(_many_wells, d)
         xs = np.random.default_rng(seed).integers(-8, 9, (n, d)) / 4.0
         pop = BudgetedEvaluator(spec).evaluate_batch(xs)
         e_ref = BudgetedEvaluator(spec, used=n)
         want = ref.cluster_population(pop, e_ref)
         e_new = BudgetedEvaluator(spec, used=n)
-        served = []
-        real = hillvalley.shortlist_rows
-
-        def spy(tree, coords, idx, k):
-            rows = real(tree, coords, idx, k)
-            served.append((coords, idx, k, rows))
-            return rows
-
-        with mock.patch.object(hillvalley, "shortlist_rows", spy):
-            _assert_same_clusters(cluster_population(pop, e_new), want)
+        _assert_same_clusters(cluster_population(pop, e_new), want)
         assert e_new.used == e_ref.used
-        assert served
-        for coords, idx, k, rows in served:
-            full = cKDTree(coords).query(coords, k=k)[1]
-            assert rows.tolist() == full[idx].tolist()
 
     @pytest.mark.parametrize("d, n_rounds", [(1, 5), (2, 26), (3, 58)])
     def test_each_round_tests_in_rank_order(self, d, n_rounds):
@@ -370,36 +356,49 @@ def test_runs_match_the_sequential_reference(pid):
         assert got == want
 
 
-@settings(max_examples=200, deadline=None)
-@given(d=st.integers(1, 3),
-       n=st.one_of(st.integers(1, 40), st.integers(1, 2000)),  # pads often
+def _neighbour_order(coords):
+    """Every point's neighbour order by brute force: all points in
+    ascending (``squared_distances``, index) order."""
+    n = len(coords)
+    return np.array([np.lexsort((np.arange(n), squared_distances(coords, x)))
+                     for x in coords])
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.integers(1, 5),
+       n=st.one_of(st.integers(1, 40), st.integers(1, 400)),  # pads often
        kind=st.sampled_from(["uniform", "grid", "far"]),
        seed=st.integers(0, 2 ** 16))
-def test_neighbour_rows_are_the_full_querys(d, n, kind, seed):
-    # The nearest better neighbors and the rows of any subset, against one
-    # query of all points with the shortlist width. A coarse grid ties many
-    # distances, and so do the gaps of points on a box centred at -3e8,
-    # which are multiples of its spacing of floats, so the narrow first
-    # query must often defer to the full one, and in d = 1 the merge over
-    # the sorted sample to the tree. Where n < k the full rows end in
-    # pads, and where n < NARROW_K the narrow ones too.
+def test_neighbour_rows_are_the_brute_force_order(d, n, kind, seed):
+    # Every row clustering reads is a brute-force sort: the 1-D rows, the
+    # first better neighbours the first query finds, and the full rows of
+    # any subset (the points the narrow rows leave open, the roots). A
+    # coarse grid repeats points and ties many distances, and so do the
+    # gaps of points on a box centred at -3e8, which are multiples of its
+    # spacing of floats. A full row is left empty only for a tie: uniform
+    # points fill theirs, unless n is below k, where rows count as tied.
+    # Rows end in pads (index n) where n < k.
     rng = np.random.default_rng(seed)
     coords = {"uniform": lambda: rng.uniform(0.0, 1.0, (n, d)),
               "grid": lambda: rng.integers(0, 5, (n, d)) / 4.0,
               "far": lambda: rng.uniform(-3e8 - 0.5, -3e8 + 0.5, (n, d))}[kind]()
     k = 8 * (1 + d)
-    tree = cKDTree(coords)
-    full = cKDTree(coords).query(coords, k=k)[1]
-    ranks = np.arange(n)
-    below = full < ranks[:, None]
-    want = np.where(below.any(axis=1), full[ranks, below.argmax(axis=1)], -1)
-    assert nearest_better(tree, coords, k).tolist() == want.tolist()
+    order = _neighbour_order(coords)
+    want = np.full((n, k), n)
+    want[:, :min(k, n)] = order[:, :k]
     if d == 1:
-        rows = line_rows(coords, k)
-        assert rows.tolist() == full.tolist()
-        assert first_better(rows, ranks).tolist() == want.tolist()
-    some = rng.choice(n, rng.integers(0, n + 1), replace=False)  # say, roots
-    assert shortlist_rows(tree, coords, some, k).tolist() == full[some].tolist()
+        assert line_rows(coords, k).tolist() == want.tolist()
+        return
+    tree = kd_tree(coords)
+    first = [-1] + [int(row[row < i][0]) for i, row in enumerate(order) if i]
+    nearest = nearest_better(tree, coords, k)
+    found = nearest >= 0
+    assert nearest[found].tolist() == np.array(first)[found].tolist()
+    some = rng.choice(n, rng.integers(0, n + 1), replace=False)
+    for i, row in zip(some, shortlist_rows(tree, coords, some, k)):
+        m = int((row < n).sum())
+        assert row.tolist() == want[i, :m].tolist() + [n] * (k - m)
+        assert kind != "uniform" or n <= k or m == k
 
 
 def test_continuous_line_builds_no_tree():
@@ -422,10 +421,17 @@ def test_continuous_line_builds_no_tree():
        seed=st.integers(0, 2 ** 16))
 def test_nearest_first_is_the_stable_argsort(d, i, chunk, seed):
     # grid points: many better predecessors lie at the same distance
-    coords = np.random.default_rng(seed).integers(0, 4, (i + 1, d)) / 4.0
+    rng = np.random.default_rng(seed)
+    coords = rng.integers(0, 4, (i + 1, d)) / 4.0
     dists = ((coords[:i] - coords[i]) ** 2).sum(axis=1)
+    want = np.argsort(dists, kind="stable").tolist()
     got = np.concatenate(list(nearest_first(coords[:i], coords[i], chunk)))
-    assert got.tolist() == np.argsort(dists, kind="stable").tolist()
+    assert got.tolist() == want
+    # After a row's (distance, index) pair, as a walk goes on past its
+    # row: the rest of that order, ties at the row's distance included.
+    last = int(rng.integers(i))
+    got = np.concatenate(list(nearest_first(coords[:i], coords[i], chunk, last)))
+    assert got.tolist() == want[want.index(last) + 1:]
 
 
 @settings(max_examples=100, deadline=None)
