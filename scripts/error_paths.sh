@@ -35,6 +35,7 @@ cases=(
   # run: status 1
   "run --problems 11 --runs 1 --out r.csv"
   "run --problems 21 --runs 1 --out r.csv"
+  "run --problems=-3 --runs 1 --out r.csv"
   "run --problems 2 --runs 1 --out taken"
   "run --problems 2 --runs 1 --out missing/r.csv"
   "run --problems 2 --runs 1 --reports-dir afile --out r.csv"

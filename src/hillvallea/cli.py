@@ -76,7 +76,9 @@ def problem_id(text: str) -> int:
 def parse_problem_ids(text: str) -> list[int]:
     """Parse '1-5,7,10' style problem selections.
 
-    A reversed range such as '5-1' and a selection of no problems raise
+    A range is split at its first '-' after the first character, so a
+    leading '-' is an id's sign ('-3' is the id -3, an unknown one). A
+    reversed range such as '5-1' and a selection of no problems raise
     ``ValueError``.
     """
     ids: list[int] = []
@@ -84,8 +86,9 @@ def parse_problem_ids(text: str) -> list[int]:
         part = part.strip()
         if not part:
             continue
-        if "-" in part:
-            lo, hi = (problem_id(v) for v in part.split("-", 1))
+        cut = part.find("-", 1)
+        if cut > 0:
+            lo, hi = problem_id(part[:cut]), problem_id(part[cut + 1:])
             if lo > hi:
                 raise ValueError(f"reversed problem range '{part}'")
             ids.extend(range(lo, hi + 1))

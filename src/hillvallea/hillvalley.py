@@ -62,21 +62,11 @@ and the test points in evaluation order, gives the same member order.
 Neighbor order. The neighbors of rank i are the other solutions in
 ascending order of (``squared_distances`` over box-normalized coordinates,
 index); its better neighbors are the ones ranked before i, in that order.
-The first test takes the first of them, and a root's walk takes them up to
-its last test. A shortlist only proposes each row's first k = 8 * (1 + d)
-entries: a KD-tree query in d >= 2, one merge over the sorted sample in
-d = 1, where scipy is never imported. A proposed row is read as it is only
-when its distances rise by more than ``ROUNDING_MARGIN`` at every step up
-to entry k + 1. Only the other rows are sorted exactly: in d = 1 over the
-points out to their tie (``line_rows``), in d >= 2 over all points, as
-the walk goes (``shortlist_rows``). The first tests query every point with
-``NARROW_K`` neighbors and take full rows only for the points those leave
-without a better neighbor; the walks take the roots' full rows. A walk
-continues past its row from the (distance, index) pair of the row's last
-better entry, a chunk at a time from ``nearest_first``, so a walk that
-stops early costs O(i) instead of a full sort; where no row holds a
-better neighbor, the first test's is the ``argmin`` of the distances to
-all better solutions.
+``neighbour_rows`` proposes each row's first k, and one rule reads every
+row: as it is when its distances rise by more than ``ROUNDING_MARGIN`` at
+every step up to entry k + 1, else as empty, so that the point's better
+neighbors come from the distances to all of them (``argmin``,
+``nearest_first``).
 """
 
 from __future__ import annotations
@@ -85,14 +75,11 @@ import heapq
 import math
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .problem import BudgetedEvaluator, Solution
-
-if TYPE_CHECKING:
-    from scipy.spatial import cKDTree
 
 # Upper bound on test points per pair; the count grows with the distance
 # between the endpoints relative to the expected nearest-neighbor spacing.
@@ -101,7 +88,7 @@ MAX_TEST_POINTS = 5
 # Extra nearest-better attempts (beyond the first) per dimension.
 EXTRA_ATTEMPTS_PER_DIM = 1
 
-# Neighbors per point in the first KD-tree query (d >= 2), which only
+# Neighbors per point in the first query, of every point, which only
 # finds the nearest better neighbors its rows prove (see "Neighbor order"
 # above); 6 or 7 ran fastest on the CEC2013 samples of d = 1 to 3, where
 # 6-8% of the points then needed their full shortlist.
@@ -247,14 +234,6 @@ def _next_chunk(points: np.ndarray, x: np.ndarray, last: int,
     return rest[np.lexsort((rest, d[rest]))], more
 
 
-def kd_tree(coords: np.ndarray) -> cKDTree:
-    """A KD-tree over the rows of ``coords``. scipy is imported here, on
-    the first call, not with the package: a process that builds no tree
-    (a 1-D run, ``list``, ``score``) never pays its import."""
-    from scipy.spatial import cKDTree
-    return cKDTree(coords)
-
-
 def _tied(dist: np.ndarray) -> np.ndarray:
     """Which rows of ascending distances ``dist`` have a step that does
     not rise by more than ``ROUNDING_MARGIN``; two pads (inf) are a tie,
@@ -262,18 +241,58 @@ def _tied(dist: np.ndarray) -> np.ndarray:
     return ~(dist[:, 1:] > dist[:, :-1] * (1 + ROUNDING_MARGIN)).all(axis=1)
 
 
-def shortlist_rows(tree: cKDTree, coords: np.ndarray, idx: np.ndarray,
-                   k: int) -> np.ndarray:
-    """The rows of points ``idx`` in neighbor order, k entries each, from
-    one query of their k + 1 nearest points. Where the distances the tree
-    returns rise by more than the margin at every step, the first k are
-    the nearest points in that order by ``squared_distances`` too, and the
-    row is read as it is. Any other row is left empty (index n throughout),
-    so that its point's better neighbors come from all of them, sorted
-    exactly: the first by ``argmin``, the walk's by ``nearest_first``."""
-    dist, rows = tree.query(coords[idx], k=k + 1)
-    rows[_tied(dist)] = len(coords)
-    return rows[:, :k]
+def neighbour_rows(coords: np.ndarray) -> Callable[[np.ndarray, int], np.ndarray]:
+    """``rows(idx, k)``: the rows of points ``idx`` in neighbor order, k
+    entries each, from one query of their k + 1 nearest points (index n
+    past the last point).
+
+    In d >= 2 a KD-tree proposes them; scipy is imported here, not with
+    the package, so a process that builds no tree (a 1-D run, ``list``,
+    ``score``) never pays its import. In d = 1 a merge over the sorted
+    sample does: each step takes the nearer of a point's next-left and
+    next-right places by squared gap, which is ``squared_distances`` in
+    one coordinate, starting from the point's own place. Where the
+    proposed distances rise by more than the margin at every step, the
+    first k are the nearest points in that order by ``squared_distances``
+    too, and the row is read as it is. Any other row is left empty (index
+    n throughout), so that its point's better neighbors come from all of
+    them, sorted exactly: the first by ``argmin``, the walk's by
+    ``nearest_first``."""
+    n, d = coords.shape
+    if d > 1:
+        from scipy.spatial import cKDTree
+        tree = cKDTree(coords)
+
+        def propose(idx, m):
+            return tree.query(coords[idx], k=m)
+    else:
+        c = coords[:, 0]
+        order = np.argsort(c, kind="stable")
+        line = np.concatenate(([-np.inf], c[order], [np.inf]))  # a pad is never nearer
+        index = np.concatenate(([n], order, [n]))
+        place = np.empty(n, dtype=np.intp)  # each point's place in line
+        place[order] = np.arange(1, n + 1)
+
+        def propose(idx, m):
+            ci, left = c[idx], place[idx]  # left: next-left place, from its own
+            right = left + 1
+            near = np.full((m, len(idx)), n)  # column j: entry j of every row
+            dist = np.full((m, len(idx)), np.inf)
+            for col in range(min(m, n)):  # past n only pads are left
+                dl = (line[left] - ci) ** 2
+                dr = (line[right] - ci) ** 2
+                go_left = dl < dr
+                near[col] = index[np.where(go_left, left, right)]
+                dist[col] = np.minimum(dl, dr)
+                left -= go_left
+                right += ~go_left
+            return dist.T, near.T
+
+    def rows(idx: np.ndarray, k: int) -> np.ndarray:
+        dist, near = propose(idx, k + 1)
+        near[_tied(dist)] = n
+        return near[:, :k]
+    return rows
 
 
 def first_better(rows: np.ndarray, ranks: np.ndarray) -> np.ndarray:
@@ -284,56 +303,18 @@ def first_better(rows: np.ndarray, ranks: np.ndarray) -> np.ndarray:
                     rows[np.arange(len(rows)), below.argmax(axis=1)], -1)
 
 
-def nearest_better(tree: cKDTree, coords: np.ndarray, k: int) -> np.ndarray:
-    """Each point's first better neighbor in its row of ``shortlist_rows``,
-    or -1 where the row holds none (always for rank 0). Only the points
-    whose row of ``NARROW_K`` nearest holds none get their full rows."""
-    ranks = np.arange(len(coords))
-    nearest = first_better(shortlist_rows(tree, coords, ranks, NARROW_K - 1), ranks)
+def nearest_better(rows: Callable[[np.ndarray, int], np.ndarray], n: int,
+                   k: int) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """Each of the n points' first better neighbor in its row of ``rows``,
+    or -1 where the row holds none (always for rank 0); and the full rows
+    (k entries) it fetched, by point. Only the points whose row of
+    ``NARROW_K`` nearest holds none get their full rows."""
+    ranks = np.arange(n)
+    nearest = first_better(rows(ranks, NARROW_K - 1), ranks)
     redo = np.flatnonzero(nearest[1:] < 0) + 1
-    nearest[redo] = first_better(shortlist_rows(tree, coords, redo, k), redo)
-    return nearest
-
-
-def line_rows(coords: np.ndarray, k: int) -> np.ndarray:
-    """Every point's row in neighbor order, k entries each and index n past
-    the end, for one coordinate (``coords`` of shape (n, 1)), from one merge
-    over the sorted sample: each step takes the nearer of a point's
-    next-left and next-right places by squared gap, which is
-    ``squared_distances`` in one coordinate, starting from the point's own
-    place. A row whose first k + 1 distances do not all rise by more than
-    the margin goes on across its tie, through every point no farther than
-    its k-th entry, and is sorted by (distance, index)."""
-    n = len(coords)
-    c = coords[:, 0]
-    order = np.argsort(c, kind="stable")
-    pad = np.full(k, np.inf)  # a pad is never nearer than a point
-    line = np.concatenate((-pad, c[order], pad))
-    index = np.concatenate((np.full(k, n), order, np.full(k, n)))
-    left = np.empty(n, dtype=np.intp)  # each point's place in line, then next-left
-    left[order] = np.arange(k, k + n)
-    right = left + 1
-    # column i: point i's row and a step past it, to test its end
-    rows = np.full((k + 1, n), n)
-    dist = np.full((k + 1, n), np.inf)
-    for col in range(min(k + 1, n)):  # past n only pads are left
-        dl = (line[left] - c) ** 2
-        dr = (line[right] - c) ** 2
-        go_left = dl < dr
-        rows[col] = index[np.where(go_left, left, right)]
-        dist[col] = np.minimum(dl, dr)
-        left -= go_left
-        right += ~go_left
-    tied = np.flatnonzero(_tied(dist.T))
-    reach, ct = dist[k - 1, tied], c[tied]
-    ends = np.array([left[tied], right[tied]])
-    while (on := ((line[ends] - ct) ** 2 <= reach) & (index[ends] < n)).any():
-        ends += on * np.array([[-1], [1]])  # out across the tie, a place a pass
-    for i, a, b in zip(tied.tolist(), (ends[0] + 1).tolist(), ends[1].tolist()):
-        near = index[a:b]
-        near = near[np.lexsort((near, squared_distances(coords[near], coords[i])))][:k]
-        rows[:len(near), i] = near
-    return rows[:k].T
+    full = rows(redo, k)
+    nearest[redo] = first_better(full, redo)
+    return nearest, dict(zip(redo.tolist(), full))
 
 
 def _test_point_counts(starts: np.ndarray, ends: np.ndarray,
@@ -375,19 +356,15 @@ def cluster_population(pop: tuple[np.ndarray, np.ndarray],
     # that exhausts its shortlist goes on to the distances to all its
     # better predecessors.
     shortlist_k = 8 * max_attempts
-    if d == 1:
-        rows = line_rows(coords, shortlist_k)
-        nearest = first_better(rows, np.arange(n))
-    else:
-        tree = kd_tree(coords)
-        nearest = nearest_better(tree, coords, shortlist_k)
+    rows = neighbour_rows(coords)
+    nearest, full = nearest_better(rows, n, shortlist_k)
     # Where the shortlist has no better neighbor, the first one past it.
     for i in np.flatnonzero(nearest[1:] < 0) + 1:
         nearest[i] = squared_distances(columns[:i], coords[i]).argmin()
 
     def better_neighbors(i):
         """Rank ``i``'s better neighbors in walk order, as index arrays."""
-        better = rows[i][rows[i] < i]
+        better = full[i][full[i] < i]
         yield better
         # On from the row's last better entry: the row holds every point
         # before its own end, so every better one after that entry is past it.
@@ -490,9 +467,9 @@ def cluster_population(pop: tuple[np.ndarray, np.ndarray],
             break
         root[:] = jumped
     roots = ranks[~passed]
-    if d > 1:  # the walks read the roots' full shortlists
-        rows = dict(zip(roots.tolist(),
-                        shortlist_rows(tree, coords, roots, shortlist_k)))
+    # the walks read the roots' full rows; nearest_better has the redo points'
+    unread = roots[[r not in full for r in roots.tolist()]]
+    full.update(zip(unread.tolist(), rows(unread, shortlist_k)))
     label_roots(roots)
     label[:] = label[root]
 

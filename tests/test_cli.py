@@ -48,7 +48,13 @@ class TestParseProblemIds:
         with pytest.raises(ValueError, match="problem id must be an integer"):
             parse_problem_ids("two")
 
-    @pytest.mark.parametrize("text, bad", [("1-x", "x"), ("-3", "")])
+    @pytest.mark.parametrize("text, ids", [("-3", [-3]), ("-3--1", [-3, -2, -1]),
+                                           ("-1-1", [-1, 0, 1]), ("2,-3", [-3, 2])])
+    def test_leading_minus_is_a_sign(self, text, ids):
+        # a range is split at a '-' after the first character only
+        assert parse_problem_ids(text) == ids
+
+    @pytest.mark.parametrize("text, bad", [("1-x", "x"), ("3-", ""), ("--3", "-")])
     def test_non_integer_id_message(self, text, bad):
         with pytest.raises(ValueError) as exc_info:
             parse_problem_ids(text)
@@ -167,9 +173,10 @@ class TestListCommand:
         assert lines[0].split()[0] == "2"
         assert "unavailable" in lines[1]
 
-    @pytest.mark.parametrize("text, bad", [("25", 25), ("0,3", 0), ("3,21-22", 21)])
+    @pytest.mark.parametrize("text, bad", [("25", 25), ("0,3", 0), ("3,21-22", 21),
+                                           ("-3", -3), ("-3-2", -3)])
     def test_unknown_problem_fails_cleanly(self, capfd, text, bad):
-        rc = main(["list", "--problems", text])
+        rc = main(["list", f"--problems={text}"])
         assert_failed(capfd, rc, f"unknown problem id {bad}")
 
 
@@ -213,6 +220,13 @@ class TestRunCommand:
         rc = main(["run", "--problems", "21", "--runs", "1",
                    "--out", str(tmp_path / "r.csv")])
         assert_failed(capfd, rc, "unknown problem id 21")
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_negative_problem_fails_cleanly(self, tmp_path, capfd):
+        # an unknown id, as in `score --problem -3`, not a usage error
+        rc = main(["run", "--problems=-3", "--runs", "1",
+                   "--out", str(tmp_path / "r.csv")])
+        assert_failed(capfd, rc, "unknown problem id -3")
         assert not (tmp_path / "r.csv").exists()
 
     def test_invalid_epsilon_fails_cleanly(self, tmp_path, capfd):
@@ -429,8 +443,8 @@ class TestScoreCommand:
 # `list`, `score` and 1-D runs build no KD-tree, so they must not import
 # scipy; the first 2-D clustering does. One 1-D run is on a box centred at
 # -3e8, whose gaps are multiples of its spacing of floats, so its samples
-# have points whose left and right gaps tie, and their rows go on across
-# the tie; the script counts those points.
+# have points whose left and right gaps tie, and their rows are left
+# empty; the script counts those points.
 FRESH_PROCESS = """\
 import contextlib, dataclasses, io, sys
 import numpy as np
@@ -450,14 +464,14 @@ far = ProblemSpec(id=0, name="far line", dimension=1, lower=[-3e8 - 5e-5],
                   upper=[-3e8 + 5e-5], budget=2000, known_optima=[[-3e8]],
                   optimum_fitness=-1.0, niche_radius=1e-6, maximize=False,
                   objective=lambda X: np.cos(4e5 * (X[:, 0] + 3e8)))
-ties, line_rows = [], hillvalley.line_rows
+ties, neighbour_rows = [], hillvalley.neighbour_rows
 
-def spy(coords, k):
+def spy(coords):
     gaps = np.diff(np.sort(coords[:, 0]))
     ties.append(int((gaps[1:] == gaps[:-1]).sum()))
-    return line_rows(coords, k)
+    return neighbour_rows(coords)
 
-hillvalley.line_rows = spy
+hillvalley.neighbour_rows = spy
 run_hillvallea(far, 0)
 print(sum(ties) > 0, "scipy" in sys.modules)
 report = cut(4, 2000).serialize()

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from hillvallea import hillvalley, orchestrator
 from hillvallea.benchmarks import get_problem
-from hillvallea.hillvalley import (MAX_TEST_POINTS, cluster_population,
-                                   expected_edge_length, kd_tree,
-                                   line_rows, nearest_better, nearest_first,
-                                   shortlist_rows, squared_distances)
+from hillvallea.hillvalley import (MAX_TEST_POINTS, NARROW_K,
+                                   cluster_population, expected_edge_length,
+                                   nearest_better, nearest_first,
+                                   neighbour_rows, squared_distances)
 from hillvallea.hillvalley import _test_point_counts as point_counts
 from hillvallea.hillvalley import hill_valley_test
 from hillvallea.problem import BudgetedEvaluator, BudgetExhausted, Solution, best_of
@@ -287,8 +287,8 @@ class TestBatchedClusteringEquivalence:
                                             (3, 700, 2), (3, 1500, 3)])
     def test_large_tied_populations(self, d, n, seed):
         # Grid ties in populations far beyond the shortlist width, where
-        # many KD rows are left empty at a tie and 1-D rows go on across
-        # it.
+        # many rows, from the sorted line and the KD-tree alike, are left
+        # empty at a tie.
         spec = _spec(_many_wells, d)
         xs = np.random.default_rng(seed).integers(-8, 9, (n, d)) / 4.0
         pop = BudgetedEvaluator(spec).evaluate_batch(xs)
@@ -370,47 +370,52 @@ def _neighbour_order(coords):
        kind=st.sampled_from(["uniform", "grid", "far"]),
        seed=st.integers(0, 2 ** 16))
 def test_neighbour_rows_are_the_brute_force_order(d, n, kind, seed):
-    # Every row clustering reads is a brute-force sort: the 1-D rows, the
-    # first better neighbours the first query finds, and the full rows of
-    # any subset (the points the narrow rows leave open, the roots). A
-    # coarse grid repeats points and ties many distances, and so do the
-    # gaps of points on a box centred at -3e8, which are multiples of its
-    # spacing of floats. A full row is left empty only for a tie: uniform
-    # points fill theirs, unless n is below k, where rows count as tied.
-    # Rows end in pads (index n) where n < k.
+    # Every row clustering reads is a brute-force sort, from the sorted
+    # line (d = 1) and the KD-tree alike: the first better neighbours the
+    # narrow first query finds, and the rows of any subset, narrow or
+    # full (the points the narrow rows leave open, the roots). A coarse
+    # grid repeats points and ties many distances, and so do the gaps of
+    # points on a box centred at -3e8, which are multiples of its spacing
+    # of floats. A row not proven is left empty (index n throughout):
+    # uniform points fill theirs, unless n is below k, where rows count
+    # as tied.
     rng = np.random.default_rng(seed)
     coords = {"uniform": lambda: rng.uniform(0.0, 1.0, (n, d)),
               "grid": lambda: rng.integers(0, 5, (n, d)) / 4.0,
               "far": lambda: rng.uniform(-3e8 - 0.5, -3e8 + 0.5, (n, d))}[kind]()
     k = 8 * (1 + d)
     order = _neighbour_order(coords)
-    want = np.full((n, k), n)
-    want[:, :min(k, n)] = order[:, :k]
-    if d == 1:
-        assert line_rows(coords, k).tolist() == want.tolist()
-        return
-    tree = kd_tree(coords)
+    rows = neighbour_rows(coords)
     first = [-1] + [int(row[row < i][0]) for i, row in enumerate(order) if i]
-    nearest = nearest_better(tree, coords, k)
+    nearest, full = nearest_better(rows, n, k)
     found = nearest >= 0
     assert nearest[found].tolist() == np.array(first)[found].tolist()
-    some = rng.choice(n, rng.integers(0, n + 1), replace=False)
-    for i, row in zip(some, shortlist_rows(tree, coords, some, k)):
-        m = int((row < n).sum())
-        assert row.tolist() == want[i, :m].tolist() + [n] * (k - m)
-        assert kind != "uniform" or n <= k or m == k
+    assert set(np.flatnonzero(~found[1:]) + 1) <= set(full)
+    for width in (NARROW_K - 1, k):
+        some = rng.choice(n, rng.integers(0, n + 1), replace=False)
+        got = rows(some, width)
+        assert got.shape == (len(some), width)
+        checked = list(zip(some, got))
+        if width == k:  # and the full rows nearest_better kept
+            checked += full.items()
+        for i, row in checked:
+            m = int((row < n).sum())
+            assert m in (0, width)  # a tied row is empty
+            assert row.tolist() == order[i, :m].tolist() + [n] * (width - m)
+            assert kind != "uniform" or n <= width or m == width
 
 
 def test_continuous_line_builds_no_tree():
     # Without ties every 1-D row comes from the merge: no tree is built,
     # and the clusters are the sequential reference's.
+    from scipy import spatial
     spec = _spec(_many_wells, 1)
     pop = BudgetedEvaluator(spec).evaluate_batch(
         np.random.default_rng(7).uniform(-2.0, 2.0, (1000, 1)))
     e_ref = BudgetedEvaluator(spec, used=1000)
     want = ref.cluster_population(pop, e_ref)
     e_new = BudgetedEvaluator(spec, used=1000)
-    with mock.patch.object(hillvalley, "kd_tree", wraps=hillvalley.kd_tree) as tree:
+    with mock.patch.object(spatial, "cKDTree", wraps=spatial.cKDTree) as tree:
         _assert_same_clusters(cluster_population(pop, e_new), want)
     assert tree.call_count == 0
     assert e_new.used == e_ref.used

@@ -1,6 +1,9 @@
-"""The README's Library example runs as written."""
+"""The README's Library example runs as written, and its parameter
+table names every module constant of the algorithm at its value."""
 
+import ast
 import contextlib
+import importlib
 import io
 import re
 from pathlib import Path
@@ -21,3 +24,25 @@ def test_library_example_runs():
                         "f1_harmonic=1.0, evaluations_used=50000)")
     assert len(lines) == 5
     assert all(line.endswith(" 200.0") for line in lines[1:])
+
+
+def _module_constants(module):
+    """The upper-case names a module assigns at its top level."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    return {t.id for node in tree.body if isinstance(node, ast.Assign)
+            for t in node.targets
+            if isinstance(t, ast.Name) and re.fullmatch(r"[A-Z][A-Z0-9_]*", t.id)}
+
+
+def test_parameter_table_names_every_constant():
+    rows = re.findall(r"^\| `(\w+)\.(\w+)` \| `([^`]+)` \|", README.read_text(),
+                      re.MULTILINE)
+    modules = ("amalgam", "orchestrator", "hillvalley", "scoring")
+    listed = {(m, name) for m, name, _ in rows}
+    want = {(m, name) for m in modules
+            for name in _module_constants(importlib.import_module(f"hillvallea.{m}"))}
+    assert len(rows) == len(listed) == 21
+    assert listed == want
+    for m, name, value in rows:
+        module = importlib.import_module(f"hillvallea.{m}")
+        assert eval(value, {"__builtins__": {}}) == getattr(module, name), name
