@@ -20,11 +20,15 @@
 #      (each side scores its own): stdout, stderr and exit status;
 #   4. the failing invocations of `scripts/error_paths.sh` (this tree's
 #      list for both sides): stdout, stderr and exit status of each;
-#   5. runs of two user problems on narrow boxes centred at -3e8, a line
-#      and a plane, at budgets 3, 300, 3000, 12345 and 50000, both seeds:
-#      their coordinates are multiples of the spacing of floats there, so
-#      the samples repeat values and tie distances, and many of their
-#      neighbor rows are tied (left empty), which no CEC sample has.
+#   5. samples that tie distances, which no CEC sample does: runs of two
+#      user problems on narrow boxes centred at -3e8, a line and a plane,
+#      at budgets 3, 300, 3000, 12345 and 50000, both seeds (their
+#      coordinates are multiples of the spacing of floats there, so the
+#      samples repeat values); and `cluster_population` of 8192 points
+#      drawn, with duplicates, from grids in [-2, 2]^d: spacing 0.001 in
+#      1-D, 0.25 and 0.01 in 2-D, 0.25 in 3-D, each cluster's size and the
+#      SHA-256 of its rows and fitness, and the evaluations made. Many of
+#      their neighbor rows are cut at a tie.
 # Every difference is reported; the exit status is 1 if there is any.
 set -u
 here=$(cd "$(dirname "$0")" && pwd)
@@ -49,10 +53,10 @@ for side in base head; do
   PYTHONPATH="$src" python -c 'import dataclasses, sys; from hillvallea import get_problem, run_hillvallea; sys.stdout.writelines(run_hillvallea(dataclasses.replace(get_problem(p), budget=b), s).serialize() for s in (0, 1000) for p in range(1, 11) for b in (3, 300, 3000, 12345))' \
     > "$out/$side-cuts.txt"
   PYTHONPATH="$src" python - > "$out/$side-tied.txt" <<'PY'
-import dataclasses, sys
+import dataclasses, hashlib, sys
 import numpy as np
-from hillvallea import run_hillvallea
-from hillvallea.problem import ProblemSpec
+from hillvallea import cluster_population, run_hillvallea
+from hillvallea.problem import BudgetedEvaluator, ProblemSpec
 
 line = ProblemSpec(id=0, name="far line", dimension=1, lower=[-3e8 - 5e-5],
                    upper=[-3e8 + 5e-5], budget=2000, known_optima=[[-3e8]],
@@ -65,6 +69,18 @@ plane = ProblemSpec(id=0, name="far plane", dimension=2, lower=[-3e8 - 1e-5] * 2
 sys.stdout.writelines(run_hillvallea(dataclasses.replace(spec, budget=b), s).serialize()
                       for s in (0, 1000) for spec in (line, plane)
                       for b in (3, 300, 3000, 12345, 50000))
+for d, spacing in ((1, 0.001), (2, 0.25), (2, 0.01), (3, 0.25)):
+    spec = ProblemSpec(id=0, name="grid", dimension=d, lower=[-2.0] * d,
+                       upper=[2.0] * d, budget=10 ** 6, known_optima=[[0.0] * d],
+                       optimum_fitness=0.0, niche_radius=0.1, maximize=False,
+                       objective=lambda X: np.cos(16 * X).sum(axis=1) + 0.1 * (X * X).sum(axis=1))
+    steps = round(4 / spacing)
+    xs = np.random.default_rng(d).integers(0, steps + 1, (8192, d)) * spacing - 2.0
+    e = BudgetedEvaluator(spec)
+    clusters = cluster_population(e.evaluate_batch(xs), e)
+    print(f"grid d={d} spacing={spacing}: {len(clusters)} clusters, {e.used} evaluations")
+    for x, f in clusters:
+        print(len(f), hashlib.sha256(x.tobytes() + f.tobytes()).hexdigest())
 PY
   mkdir -p "$out/$side-commands"
   PYTHONPATH="$src" python -m hillvallea.cli list \

@@ -2,7 +2,7 @@
 searches, plus a CEC2013 niching benchmark harness."""
 
 from .problem import (BudgetedEvaluator, BudgetExhausted, DimensionMismatch,
-                      ProblemSpec, Solution, uniform_init)
+                      ProblemSpec, uniform_init)
 from .hillvalley import HillValleyOutcome, cluster_population, hill_valley_test
 from .amalgam import (CoreSearchState, TerminationReason,
                       check_convergence_termination, check_reexploration,

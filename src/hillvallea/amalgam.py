@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .hillvalley import hill_valley_test
-from .problem import BudgetedEvaluator, Solution, best_of
+from .problem import BudgetedEvaluator, best_of
 
 if TYPE_CHECKING:
     from .orchestrator import ElitistArchive
@@ -57,7 +57,7 @@ class CoreSearchState:
     multiplier: float
     population: tuple[np.ndarray, np.ndarray]  # (x, f)
     generation: int
-    best: Solution
+    best: tuple[np.ndarray, float]  # (x, f)
     stddev_floor: np.ndarray  # the least spread per dimension, fixed per search
 
 
@@ -94,7 +94,8 @@ def check_convergence_termination(history: deque, b: float, g: int,
     non-positive (still exploratory), or unless the gap decreased in each
     of the last WINDOW generations. Otherwise terminates when the current
     generation plus the predicted time to optimum exceeds
-    GEN_CAP_MULTIPLIER times gen_cap.
+    GEN_CAP_MULTIPLIER times ``gen_cap`` (the archive's
+    ``max_generation``).
     """
     if len(history) <= WINDOW:
         return False
@@ -178,48 +179,50 @@ def generation_step(s: CoreSearchState, e: BudgetedEvaluator,
     next_x[:n_off] = spec.clamp(xs)
 
     off_x, off_f = e.evaluate_batch(next_x[:n_off])
-    if np.minimum.reduce(off_f) < s.best.f:
+    if np.minimum.reduce(off_f) < s.best[1]:
         s.best = best_of(off_x, off_f)
         spread = s.multiplier * s.stddev
-        if (np.abs(s.best.x - s.mean) > spread).any():
+        if (np.abs(s.best[0] - s.mean) > spread).any():
             s.multiplier = min(s.multiplier * MULTIPLIER_INCREASE, MULTIPLIER_CAP)
     else:
         s.multiplier *= MULTIPLIER_DECREASE
 
-    next_x[n_off] = s.best.x
-    s.population = (next_x, np.concatenate((off_f, [s.best.f])))
+    next_x[n_off], best_f = s.best
+    s.population = (next_x, np.concatenate((off_f, [best_f])))
     s.generation += 1
     return a_g
 
 
-def check_reexploration(s: Solution, archive: "ElitistArchive",
+def check_reexploration(s: tuple[np.ndarray, float], archive: "ElitistArchive",
                         e: BudgetedEvaluator) -> bool:
-    """True when ``s`` is in an explored niche: it shares a niche with its
-    nearest elite, and that elite is at least as fit (a less fit one stems
-    from a search cut short). Checked before and during each core search.
+    """True when the point ``s = (x, f)`` is in an explored niche: it shares
+    a niche with its nearest elite, and that elite is at least as fit (a
+    less fit one stems from a search cut short). Checked before and during
+    each core search.
     """
     if not len(archive):
         return False
-    i = archive.nearest_index(s.x)
-    if archive.f[i] > s.f:
+    i = archive.nearest_index(s[0])
+    if archive.f[i] > s[1]:
         return False
-    return hill_valley_test(s, archive.elite(i), ELITE_TEST_POINTS, e).same_niche
+    elite = archive.x[i], float(archive.f[i])
+    return hill_valley_test(s, elite, ELITE_TEST_POINTS, e).same_niche
 
 
 def run_core_search(c: tuple[np.ndarray, np.ndarray], pop_size: int,
                     archive: "ElitistArchive", e: BudgetedEvaluator,
                     rng: np.random.Generator, min_spread: np.ndarray
-                    ) -> tuple[Solution, TerminationReason, int]:
+                    ) -> tuple[tuple[np.ndarray, float], TerminationReason, int]:
     """Run one core search to termination.
 
-    Returns the best solution found, the termination reason, and the
+    Returns the best point ``(x, f)`` found, the termination reason, and the
     number of generations executed. The archive is not changed during a
-    search, so its best fitness ``b`` is read once; with no elite yet it
-    is +inf, every gap is then negative or undefined, and convergence is
-    never predicted.
+    search, so its best fitness ``b`` and its ``max_generation`` are read
+    once; with no elite yet ``b`` is +inf, every gap is then negative or
+    undefined, and convergence is never predicted.
     """
     state = init_from_cluster(c, pop_size, e, rng, min_spread)
-    b = archive.best_fitness
+    b, gen_cap = archive.best_fitness, archive.max_generation
     history = deque(maxlen=WINDOW + 1)
 
     while True:
@@ -233,6 +236,6 @@ def run_core_search(c: tuple[np.ndarray, np.ndarray], pop_size: int,
                 and check_reexploration(state.best, archive, e)):
             return (state.best, TerminationReason.REEXPLORED_NICHE,
                     state.generation)
-        if check_convergence_termination(history, b, state.generation, archive.gen_cap):
+        if check_convergence_termination(history, b, state.generation, gen_cap):
             return (state.best, TerminationReason.LOCAL_MINIMUM_PREDICTED,
                     state.generation)

@@ -63,9 +63,10 @@ Neighbor order. The neighbors of rank i are the other solutions in
 ascending order of (``squared_distances`` over box-normalized coordinates,
 index); its better neighbors are the ones ranked before i, in that order.
 ``neighbour_rows`` proposes each row's first k, and one rule reads every
-row: as it is when its distances rise by more than ``ROUNDING_MARGIN`` at
-every step up to entry k + 1, else as empty, so that the point's better
-neighbors come from the distances to all of them (``argmin``,
+row: entry j as it is when the distances rise by more than
+``ROUNDING_MARGIN`` at every step up to entry j + 1, and as empty from
+the first entry that is not proven so. A point's better neighbors past
+its proven entries come from the distances to all of them (``argmin``,
 ``nearest_first``).
 """
 
@@ -79,7 +80,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .problem import BudgetedEvaluator, Solution
+from .problem import BudgetedEvaluator
 
 # Upper bound on test points per pair; the count grows with the distance
 # between the endpoints relative to the expected nearest-neighbor spacing.
@@ -146,23 +147,25 @@ def hill_valley_tests(starts: np.ndarray, ends: np.ndarray,
             np.concatenate(oks))
 
 
-def hill_valley_test(a: Solution, b: Solution, n_test: int,
-                     e: BudgetedEvaluator) -> HillValleyOutcome:
-    """Decide whether ``a`` and ``b`` occupy the same valley.
+def hill_valley_test(a: tuple[np.ndarray, float], b: tuple[np.ndarray, float],
+                     n_test: int, e: BudgetedEvaluator) -> HillValleyOutcome:
+    """Decide whether the points ``a = (xa, fa)`` and ``b = (xb, fb)`` occupy
+    the same valley.
 
     Samples ``n_test`` equidistant interior points on the segment from
-    ``a`` to ``b`` (in that order) and accepts iff every point is no worse
+    ``xa`` to ``xb`` (in that order) and accepts iff every point is no worse
     than the worse endpoint. Stops at the first violating point. This is
     ``hill_valley_tests`` on one pair, bit for bit, for every count (0
     accepts without evaluations): the same arithmetic
-    (``t = k / (n_test + 1)``, ``a + t * (b - a)``), one point per objective
+    (``t = k / (n_test + 1)``, ``xa + t * (xb - xa)``), one point per objective
     call, each compared with the worse endpoint in the same order.
     """
-    if np.array_equal(a.x, b.x):
+    (xa, fa), (xb, fb) = a, b
+    if np.array_equal(xa, xb):
         return HillValleyOutcome(True)
-    points = a.x + (np.arange(1, n_test + 1) / (n_test + 1))[:, None] * (b.x - a.x)
+    points = xa + (np.arange(1, n_test + 1) / (n_test + 1))[:, None] * (xb - xa)
     for k in range(n_test):
-        if e.evaluate_batch(points[k:k + 1])[1][0] > max(a.f, b.f):
+        if e.evaluate_batch(points[k:k + 1])[1][0] > max(fa, fb):
             return HillValleyOutcome(False)
     return HillValleyOutcome(True)
 
@@ -234,13 +237,6 @@ def _next_chunk(points: np.ndarray, x: np.ndarray, last: int,
     return rest[np.lexsort((rest, d[rest]))], more
 
 
-def _tied(dist: np.ndarray) -> np.ndarray:
-    """Which rows of ascending distances ``dist`` have a step that does
-    not rise by more than ``ROUNDING_MARGIN``; two pads (inf) are a tie,
-    so the rows of a population smaller than k all count as tied."""
-    return ~(dist[:, 1:] > dist[:, :-1] * (1 + ROUNDING_MARGIN)).all(axis=1)
-
-
 def neighbour_rows(coords: np.ndarray) -> Callable[[np.ndarray, int], np.ndarray]:
     """``rows(idx, k)``: the rows of points ``idx`` in neighbor order, k
     entries each, from one query of their k + 1 nearest points (index n
@@ -252,12 +248,14 @@ def neighbour_rows(coords: np.ndarray) -> Callable[[np.ndarray, int], np.ndarray
     sample does: each step takes the nearer of a point's next-left and
     next-right places by squared gap, which is ``squared_distances`` in
     one coordinate, starting from the point's own place. Where the
-    proposed distances rise by more than the margin at every step, the
-    first k are the nearest points in that order by ``squared_distances``
-    too, and the row is read as it is. Any other row is left empty (index
-    n throughout), so that its point's better neighbors come from all of
-    them, sorted exactly: the first by ``argmin``, the walk's by
-    ``nearest_first``."""
+    proposed distances rise by more than the margin at every step up to
+    entry j + 1, the first j + 1 entries are the nearest points in that
+    order by ``squared_distances`` too, and are read as they are. From
+    the first entry not proven so on, a row is left empty (index n), so
+    that its point's better neighbors past the proven entries come from
+    all of them, sorted exactly: the first by ``argmin``, the walk's by
+    ``nearest_first`` on from the row's last better entry. Two pads (inf)
+    do not rise, so no pad is ever read as a point."""
     n, d = coords.shape
     if d > 1:
         from scipy.spatial import cKDTree
@@ -290,8 +288,8 @@ def neighbour_rows(coords: np.ndarray) -> Callable[[np.ndarray, int], np.ndarray
 
     def rows(idx: np.ndarray, k: int) -> np.ndarray:
         dist, near = propose(idx, k + 1)
-        near[_tied(dist)] = n
-        return near[:, :k]
+        rise = dist[:, 1:] > dist[:, :-1] * (1 + ROUNDING_MARGIN)
+        return np.where(np.logical_and.accumulate(rise, axis=1), near[:, :k], n)
     return rows
 
 

@@ -12,7 +12,7 @@ import numpy as np
 from .amalgam import ELITE_TEST_POINTS, check_reexploration, run_core_search
 from .hillvalley import cluster_population, hill_valley_test, squared_distances
 from .problem import (BudgetedEvaluator, BudgetExhausted, ProblemSpec,
-                      Solution, best_of, uniform_init)
+                      best_of, uniform_init)
 
 INITIAL_POP_PER_DIM = 2 ** 6
 RESTART_GROWTH = 2
@@ -35,12 +35,12 @@ class ElitistArchive:
     a population pair; an empty archive holds a (0, 0) matrix, takes its
     width from the first elite added, and has best fitness +inf.
     ``max_generation`` is the most generations any inserted core search
-    took.
+    took, and at least 1.
     """
 
     x: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
     f: np.ndarray = field(default_factory=lambda: np.empty(0))
-    max_generation: int = 0
+    max_generation: int = 1
 
     def __len__(self) -> int:
         return len(self.f)
@@ -48,14 +48,6 @@ class ElitistArchive:
     @property
     def best_fitness(self) -> float:
         return float(self.f.min(initial=np.inf))
-
-    @property
-    def gen_cap(self) -> int:
-        """Max generations any core search needed to find an elite."""
-        return max(self.max_generation, 1)
-
-    def elite(self, i: int) -> Solution:
-        return Solution(self.x[i], float(self.f[i]))
 
     def nearest_index(self, x: np.ndarray) -> int:
         """Index of the elite closest to ``x`` (first one on ties), by the
@@ -66,29 +58,29 @@ class ElitistArchive:
         them pairwise."""
         return int(np.sqrt(squared_distances(self.x, x)).argmin())
 
-    def add(self, s: Solution, gens: int) -> None:
-        self.x = np.vstack([self.x.reshape(-1, len(s.x)), s.x])
-        self.f = np.append(self.f, s.f)
+    def add(self, s: tuple[np.ndarray, float], gens: int) -> None:
+        self.x = np.vstack([self.x.reshape(-1, len(s[0])), s[0]])
+        self.f = np.append(self.f, s[1])
         self.max_generation = max(self.max_generation, gens)
 
-    def replace(self, i: int, s: Solution, gens: int) -> None:
-        self.x[i] = s.x
-        self.f[i] = s.f
+    def replace(self, i: int, s: tuple[np.ndarray, float], gens: int) -> None:
+        self.x[i], self.f[i] = s
         self.max_generation = max(self.max_generation, gens)
 
 
-def archive_insert(a: ElitistArchive, s: Solution, gens: int,
+def archive_insert(a: ElitistArchive, s: tuple[np.ndarray, float], gens: int,
                    e: BudgetedEvaluator) -> str:
-    """Insert a core-search best into the archive.
+    """Insert a core-search best ``(x, f)`` into the archive.
 
     Hill-valley-tested against the nearest elite: a different niche
     appends, a same-niche improvement replaces, anything else is
     discarded. Returns one of "appended", "replaced", "discarded".
     """
     if len(a):
-        idx = a.nearest_index(s.x)
-        if hill_valley_test(s, a.elite(idx), ELITE_TEST_POINTS, e).same_niche:
-            if s.f < a.f[idx]:
+        idx = a.nearest_index(s[0])
+        elite = a.x[idx], float(a.f[idx])
+        if hill_valley_test(s, elite, ELITE_TEST_POINTS, e).same_niche:
+            if s[1] < a.f[idx]:
                 a.replace(idx, s, gens)
                 return "replaced"
             return "discarded"

@@ -7,8 +7,9 @@ negation before comparing against declared optima.
 A population is one pair ``(x, f)``: an (n, d) matrix whose rows are the
 solutions and the (n,) vector of their internal fitness. The evaluator,
 clustering, core search, archive and run report all pass populations in
-this form; ``Solution`` holds a single point (a test endpoint, a search's
-best, an elite, the evaluator's best).
+this form. A single point (a test endpoint, a search's best, an elite,
+the evaluator's best) is the one-row case: a pair of its (d,) row and
+its fitness as a Python float.
 """
 
 from __future__ import annotations
@@ -106,30 +107,24 @@ class ProblemSpec:
         return x.clip(self.lower, self.upper)
 
 
-@dataclass
-class Solution:
-    """Parameter vector plus internal (minimization) fitness."""
-
-    x: np.ndarray
-    f: float
-
-
-def best_of(x: np.ndarray, f: np.ndarray) -> Solution:
-    """The first fittest row of a non-empty population, as a copy."""
+def best_of(x: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, float]:
+    """The first fittest row of a non-empty population, as a point: a copy
+    of its row and its fitness."""
     i = int(f.argmin())
-    return Solution(x[i].copy(), float(f[i]))
+    return x[i].copy(), float(f[i])
 
 
 @dataclass
 class BudgetedEvaluator:
     """Counts every fitness evaluation and enforces the budget.
 
-    ``best`` is the first fittest row evaluated so far (None before any).
+    ``best`` is the first fittest row evaluated so far, as a point
+    ``(x, f)`` (None before any).
     """
 
     spec: ProblemSpec
     used: int = 0
-    best: Solution | None = field(default=None, init=False)
+    best: tuple[np.ndarray, float] | None = field(default=None, init=False)
 
     def evaluate_batch(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Evaluate the rows of ``xs``; one budget unit per row.
@@ -163,8 +158,8 @@ class BudgetedEvaluator:
             values[~np.isfinite(values)] = np.inf  # worst
             self.used += fit
             i = values.argmin()
-            if self.best is None or values[i] < self.best.f:
-                self.best = Solution(xs[i].copy(), float(values[i]))
+            if self.best is None or values[i] < self.best[1]:
+                self.best = xs[i].copy(), float(values[i])
         if fit < n:
             raise BudgetExhausted("evaluation budget exhausted")
         return xs.copy(), values

@@ -4,7 +4,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from hillvallea.problem import BudgetedEvaluator, ProblemSpec, Solution
+from hillvallea.problem import BudgetedEvaluator, ProblemSpec
 
 import reference_clustering
 
@@ -23,9 +23,10 @@ def synthetic_spec(fn, lower, upper, optima, fopt=0.0, budget=1_000_000,
 
 
 def evaluate_point(e, x):
-    """Evaluate the one point ``x`` (a scalar or a vector) as a Solution."""
+    """Evaluate the one point ``x`` (a scalar or a vector); return it as a
+    point ``(x, f)``: its (d,) row and its fitness as a Python float."""
     xs, fs = e.evaluate_batch(np.atleast_1d(np.asarray(x, float))[None, :])
-    return Solution(xs[0], float(fs[0]))
+    return xs[0], float(fs[0])
 
 
 def sphere(X):

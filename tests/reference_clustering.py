@@ -3,9 +3,10 @@ batched ``hillvallea.hillvalley.cluster_population`` must match: same
 clusters, same member order, same evaluations. Every test point is
 evaluated on its own, and each test stops at its first violator. It takes
 and returns the same types: a population pair ``(x, f)`` in, clusters of
-``(x, f)`` rows out. Its neighbor order is the definition: the better
-solutions in ascending (squared distance, index) order, each distance's
-squares added left to right, from all of them, by brute force.
+``(x, f)`` rows out; inside, it holds each solution as a point ``(x, f)``.
+Its neighbor order is the definition: the better solutions in ascending
+(squared distance, index) order, each distance's squares added left to
+right, from all of them, by brute force.
 """
 
 import math
@@ -15,46 +16,46 @@ import numpy as np
 
 from hillvallea.hillvalley import (EXTRA_ATTEMPTS_PER_DIM, MAX_TEST_POINTS,
                                    expected_edge_length)
-from hillvallea.problem import BudgetExhausted, Solution
+from hillvallea.problem import BudgetExhausted
 
 
 class Outcome(NamedTuple):
     same_niche: bool
-    accepted_tests: list  # Solutions, in sampling order
+    accepted_tests: list  # points (x, f), in sampling order
 
 
 def hill_valley_test(a, b, n_test, e):
-    if np.array_equal(a.x, b.x):
+    (xa, fa), (xb, fb) = a, b
+    if np.array_equal(xa, xb):
         return Outcome(True, [])
-    worst = max(a.f, b.f)
+    worst = max(fa, fb)
     accepted = []
     for k in range(1, n_test + 1):
-        point = a.x + (k / (n_test + 1)) * (b.x - a.x)
+        point = xa + (k / (n_test + 1)) * (xb - xa)
         xs, fs = e.evaluate_batch(point[None, :])
-        sol = Solution(xs[0], float(fs[0]))
-        if sol.f > worst:
+        if fs[0] > worst:
             return Outcome(False, accepted)
-        accepted.append(sol)
+        accepted.append((xs[0], float(fs[0])))
     return Outcome(True, accepted)
 
 
 def test_point_count(a, b, edge_length):
-    dist = math.sqrt(sum(v * v for v in (a.x - b.x).tolist()))
+    dist = math.sqrt(sum(v * v for v in (a[0] - b[0]).tolist()))
     return min(MAX_TEST_POINTS, 1 + int(dist / edge_length))
 
 
 def _as_clusters(clusters):
-    return [(np.array([m.x for m in c]), np.array([m.f for m in c]))
+    return [(np.array([x for x, _ in c]), np.array([f for _, f in c]))
             for c in clusters]
 
 
 def cluster_population(pop, e):
-    pop = [Solution(x, float(f)) for x, f in zip(*pop)]
+    pop = [(x, float(f)) for x, f in zip(*pop)]
     spec = e.spec
     d = spec.dimension
-    order = sorted(range(len(pop)), key=lambda i: (pop[i].f, i))
+    order = sorted(range(len(pop)), key=lambda i: (pop[i][1], i))
     ranked = [pop[i] for i in order]
-    coords = np.array([s.x for s in ranked]) / (spec.upper - spec.lower)
+    coords = np.array([x for x, _ in ranked]) / (spec.upper - spec.lower)
     edge = expected_edge_length(spec, len(pop))
 
     clusters = [[ranked[0]]]

@@ -19,7 +19,7 @@ from hillvallea.cli import main
 from hillvallea.hillvalley import (cluster_population, hill_valley_test,
                                    hill_valley_tests)
 from hillvallea.orchestrator import ElitistArchive
-from hillvallea.problem import BudgetedEvaluator, Solution, uniform_init
+from hillvallea.problem import BudgetedEvaluator, uniform_init
 from hillvallea.scoring import DEFAULT_EPSILON
 
 from conftest import double_well, evaluate_point, sphere, synthetic_spec
@@ -80,14 +80,15 @@ class TestCriterion2HillValleyCorrectness:
             b = evaluate_point(double_well_eval, xb)
             n = int(rng.integers(1, 6))
             out = hill_valley_test(a, b, n, double_well_eval)
+            worst = max(a[1], b[1])
             _, _, tf, ok = hill_valley_tests(
-                a.x[None, :], b.x[None, :], np.array([max(a.f, b.f)]),
+                a[0][None, :], b[0][None, :], np.array([worst]),
                 np.array([n]), double_well_eval)
             assert out.same_niche == ok.all()
             if xa * xb >= 0.0:
                 assert out.same_niche
             elif not out.same_niche:
-                assert tf[-1] > max(a.f, b.f)
+                assert tf[-1] > worst
 
 
 class TestCriterion3ClusteringOracle:
@@ -184,8 +185,8 @@ class TestCriterion8TerminationBehavior:
         for trial in range(100):
             rng = np.random.default_rng(1000 + trial)
             e = self._double_well_eval()
-            elite = evaluate_point(e, 1.0)
-            archive = ElitistArchive(x=elite.x[None, :], f=np.array([elite.f]),
+            elite_x, elite_f = evaluate_point(e, 1.0)
+            archive = ElitistArchive(x=elite_x[None, :], f=np.array([elite_f]),
                                      max_generation=20)
             xs = rng.uniform(0.3, 1.7, 12)
             cluster = e.evaluate_batch(xs[:, None])
@@ -209,9 +210,8 @@ class TestCriterion8TerminationBehavior:
         for trial in range(100):
             rng = np.random.default_rng(2000 + trial)
             e = BudgetedEvaluator(spec)
-            global_elite = evaluate_point(e, -1.0124699)
-            archive = ElitistArchive(x=global_elite.x[None, :],
-                                     f=np.array([global_elite.f]))
+            elite_x, elite_f = evaluate_point(e, -1.0124699)
+            archive = ElitistArchive(x=elite_x[None, :], f=np.array([elite_f]))
             xs = rng.uniform(0.5, 1.5, 12)
             cluster = e.evaluate_batch(xs[:, None])
             _, reason, gens = run_core_search(

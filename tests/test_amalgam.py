@@ -33,7 +33,8 @@ def _cluster(e, xs):
 
 
 def _archive(elite):
-    return ElitistArchive(x=elite.x[None, :], f=np.array([elite.f]))
+    x, f = elite
+    return ElitistArchive(x=x[None, :], f=np.array([f]))
 
 
 class TestRateEstimator:
@@ -220,7 +221,7 @@ class TestInitFromCluster:
     def test_best_is_fittest_member(self, sphere_eval):
         c = _cluster(sphere_eval, [2.0, 0.5, -1.0])
         s = init_from_cluster(c, 3, sphere_eval, np.random.default_rng(0), NO_SPREAD)
-        assert s.best.f == pytest.approx(0.25)
+        assert s.best[1] == pytest.approx(0.25)
 
     def test_empty_cluster_rejected(self, sphere_eval):
         with pytest.raises(ValueError):
@@ -243,19 +244,19 @@ class TestGenerationStep:
     def test_elitism_best_never_degrades(self, sphere_eval):
         rng = np.random.default_rng(2)
         s = self._state(sphere_eval, [1.0, 1.3, 1.6], 20, seed=2)
-        prev = s.best.f
+        prev = s.best[1]
         for _ in range(15):
             generation_step(s, sphere_eval, rng)
-            assert s.best.f <= prev
-            prev = s.best.f
-        assert np.any(s.population[1] == s.best.f)
+            assert s.best[1] <= prev
+            prev = s.best[1]
+        assert np.any(s.population[1] == s.best[1])
 
     def test_descends_sphere_to_high_precision(self, sphere_eval):
         rng = np.random.default_rng(3)
         s = self._state(sphere_eval, [1.0, 1.3, 1.6], 50, seed=3)
         for _ in range(30):
             generation_step(s, sphere_eval, rng)
-        assert s.best.f < 1e-6
+        assert s.best[1] < 1e-6
 
     def test_returns_selection_mean_fitness(self, sphere_eval):
         rng = np.random.default_rng(4)
@@ -312,7 +313,7 @@ class TestGenerationStep:
         with pytest.raises(BudgetExhausted):
             generation_step(s, e, np.random.default_rng(0))
         assert e.used == spec.budget
-        assert e.best.f <= s.best.f == 9.0  # the evaluator saw the offspring that fit
+        assert e.best[1] <= s.best[1] == 9.0  # the evaluator saw the offspring that fit
 
 
 @pytest.mark.parametrize("check",
@@ -370,12 +371,12 @@ class TestRunCoreSearch:
             c, 50, ElitistArchive(), sphere_eval,
             np.random.default_rng(5), NO_SPREAD)
         assert reason == TerminationReason.CONVERGED
-        assert best.f < 1e-10
+        assert best[1] < 1e-10
         assert gens >= 1
 
     def test_preseeded_niche_triggers_reexploration_stop(self, double_well_eval):
-        elite = evaluate_point(double_well_eval, 1.0)
-        archive = ElitistArchive(x=elite.x[None, :], f=np.array([elite.f]),
+        elite_x, elite_f = evaluate_point(double_well_eval, 1.0)
+        archive = ElitistArchive(x=elite_x[None, :], f=np.array([elite_f]),
                                  max_generation=50)
         c = _cluster(double_well_eval, [0.7, 0.8, 1.3])
         best, reason, gens = run_core_search(
@@ -392,7 +393,7 @@ class TestRunCoreSearch:
             run_core_search(c, 30, ElitistArchive(), e, np.random.default_rng(7),
                             NO_SPREAD)
         assert e.used == spec.budget
-        assert e.best.x.tolist() == [3.0] and e.best.f == 9.0
+        assert e.best[0].tolist() == [3.0] and e.best[1] == 9.0
 
     @pytest.mark.parametrize("top_up", [1, 4, 26])
     def test_budget_ending_inside_the_top_up(self, top_up):
@@ -409,7 +410,7 @@ class TestRunCoreSearch:
                                  np.random.default_rng(9), NO_SPREAD)
         x, f = (v[:3 + top_up] for v in full.population)
         i = int(np.argmin(f))
-        assert e.best.x.tolist() == x[i].tolist() and e.best.f == f[i]
+        assert e.best[0].tolist() == x[i].tolist() and e.best[1] == f[i]
 
     def test_reexploration_is_checked_every_period(self, double_well_eval,
                                                    monkeypatch):
@@ -446,4 +447,4 @@ class TestRunCoreSearch:
             c, 50, ElitistArchive(), sphere_eval,
             np.random.default_rng(8), NO_SPREAD)
         assert reason == TerminationReason.CONVERGED
-        assert abs(best.x[0]) < CONVERGED_SPREAD * 100
+        assert abs(best[0][0]) < CONVERGED_SPREAD * 100

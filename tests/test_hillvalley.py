@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 
 from hillvallea import hillvalley, orchestrator
 from hillvallea.benchmarks import get_problem
-from hillvallea.hillvalley import (MAX_TEST_POINTS, NARROW_K,
+from hillvallea.hillvalley import (MAX_TEST_POINTS, NARROW_K, ROUNDING_MARGIN,
                                    cluster_population, expected_edge_length,
                                    nearest_better, nearest_first,
                                    neighbour_rows, squared_distances)
 from hillvallea.hillvalley import _test_point_counts as point_counts
 from hillvallea.hillvalley import hill_valley_test
-from hillvallea.problem import BudgetedEvaluator, BudgetExhausted, Solution, best_of
+from hillvallea.problem import BudgetedEvaluator, BudgetExhausted, best_of
 
 import reference_clustering as ref
 from conftest import double_well, evaluate_point, sphere, synthetic_spec
@@ -29,8 +29,9 @@ def _pop(e, xs):
 def _pair_points(a, b, n_test, e):
     """``hill_valley_tests`` of the one pair ``hill_valley_test`` tests:
     the evaluated points, their fitness and whether each was accepted."""
+    (xa, fa), (xb, fb) = a, b
     _, x, f, ok = hillvalley.hill_valley_tests(
-        a.x[None, :], b.x[None, :], np.array([max(a.f, b.f)]),
+        xa[None, :], xb[None, :], np.array([max(fa, fb)]),
         np.array([n_test]), e)
     return x, f, ok
 
@@ -40,7 +41,7 @@ class TestHillValleyTest:
         a = evaluate_point(sphere_eval, 0.5)
         used = sphere_eval.used
         with mock.patch.object(hillvalley, "hill_valley_tests") as tests:
-            out = hill_valley_test(a, Solution(a.x.copy(), a.f), 3, sphere_eval)
+            out = hill_valley_test(a, (a[0].copy(), a[1]), 3, sphere_eval)
         assert out.same_niche
         tests.assert_not_called()  # no test points at all
         assert sphere_eval.used == used
@@ -97,7 +98,7 @@ class TestHillValleyTest:
         # a coarse grid repeats points, so identical endpoints occur
         xs = (rng.integers(-4, 5, (2, d)) / 2.0 if grid
               else rng.uniform(-2.0, 2.0, (2, d)))
-        a, b = (Solution(x, float(v)) for x, v in zip(xs, fn(xs)))
+        a, b = (xa, fa), (xb, fb) = [(x, float(v)) for x, v in zip(xs, fn(xs))]
 
         def run(test):
             calls = []
@@ -115,9 +116,9 @@ class TestHillValleyTest:
             return verdict, e.used, calls
 
         def batched(e):
-            n = 0 if np.array_equal(a.x, b.x) else n_test
+            n = 0 if np.array_equal(xa, xb) else n_test
             *_, ok = hillvalley.hill_valley_tests(
-                a.x[None, :], b.x[None, :], np.array([max(a.f, b.f)]),
+                xa[None, :], xb[None, :], np.array([max(fa, fb)]),
                 np.array([n]), e)
             return bool(ok.all())
 
@@ -170,8 +171,9 @@ class TestClusterPopulation:
         for c in clusters:
             x, f = c
             first_min = int(np.argmin(f))
-            assert best_of(*c).f == f.min()
-            assert np.array_equal(best_of(*c).x, x[first_min])
+            best_x, best_f = best_of(*c)
+            assert best_f == f.min()
+            assert np.array_equal(best_x, x[first_min])
 
     def test_budget_exhaustion_returns_partial(self, double_well_1d):
         rows = []
@@ -189,7 +191,7 @@ class TestClusterPopulation:
         assert e.used == len(rows) == spec.budget
         f = double_well(np.array(rows))
         i = int(np.argmin(f))
-        assert e.best.x.tolist() == rows[i] and e.best.f == f[i]
+        assert e.best[0].tolist() == rows[i] and e.best[1] == f[i]
 
 
 def test_test_point_count_scales_with_distance():
@@ -282,15 +284,23 @@ class TestBatchedClusteringEquivalence:
             _assert_same_clusters(cluster_population(pop, e_new), want)
             assert e_new.used == e_ref.used
 
-    @pytest.mark.parametrize("d, n, seed", [(1, 700, 4), (1, 1500, 5),
-                                            (2, 700, 0), (2, 1500, 1),
-                                            (3, 700, 2), (3, 1500, 3)])
-    def test_large_tied_populations(self, d, n, seed):
+    @pytest.mark.parametrize("d, n, seed, per_unit", [
+        *(pytest.param(d, n, seed, 4, id=f"{d}-{n}-{seed}")
+          for d, n, seed in [(1, 700, 4), (1, 1500, 5), (2, 700, 0),
+                             (2, 1500, 1), (3, 700, 2), (3, 1500, 3)]),
+        pytest.param(1, 700, 6, 100, id="1-700-6-fine")])
+    def test_large_tied_populations(self, d, n, seed, per_unit):
         # Grid ties in populations far beyond the shortlist width, where
-        # many rows, from the sorted line and the KD-tree alike, are left
-        # empty at a tie.
+        # many rows, from the sorted line and the KD-tree alike, are cut
+        # at a tie. On the grid of 4 points a unit nearly every point has
+        # duplicates, whose rows are cut at their first entry. On the
+        # finer line most points are distinct, and a row is often cut
+        # between a left and a right neighbour at the same distance,
+        # where the merge's order (right first) is not the index order:
+        # reading those rows as proposed changes clusters.
         spec = _spec(_many_wells, d)
-        xs = np.random.default_rng(seed).integers(-8, 9, (n, d)) / 4.0
+        rng = np.random.default_rng(seed)
+        xs = rng.integers(-2 * per_unit, 2 * per_unit + 1, (n, d)) / per_unit
         pop = BudgetedEvaluator(spec).evaluate_batch(xs)
         e_ref = BudgetedEvaluator(spec, used=n)
         want = ref.cluster_population(pop, e_ref)
@@ -376,9 +386,9 @@ def test_neighbour_rows_are_the_brute_force_order(d, n, kind, seed):
     # full (the points the narrow rows leave open, the roots). A coarse
     # grid repeats points and ties many distances, and so do the gaps of
     # points on a box centred at -3e8, which are multiples of its spacing
-    # of floats. A row not proven is left empty (index n throughout):
-    # uniform points fill theirs, unless n is below k, where rows count
-    # as tied.
+    # of floats. A row is read up to its first entry not proven and left
+    # empty (index n) from there on, which is where the sorted distances
+    # tie; uniform points fill their rows, up to the population's end.
     rng = np.random.default_rng(seed)
     coords = {"uniform": lambda: rng.uniform(0.0, 1.0, (n, d)),
               "grid": lambda: rng.integers(0, 5, (n, d)) / 4.0,
@@ -400,9 +410,12 @@ def test_neighbour_rows_are_the_brute_force_order(d, n, kind, seed):
             checked += full.items()
         for i, row in checked:
             m = int((row < n).sum())
-            assert m in (0, width)  # a tied row is empty
             assert row.tolist() == order[i, :m].tolist() + [n] * (width - m)
-            assert kind != "uniform" or n <= width or m == width
+            if m < min(n, width):  # cut at a tie of entries m and m + 1
+                sq = squared_distances(coords, coords[i])[order[i, m:m + 2]]
+                # the tree's margin is on distances: about twice it on squares
+                assert sq[1] <= sq[0] * (1 + 3 * ROUNDING_MARGIN)
+            assert kind != "uniform" or m == min(n, width)
 
 
 def test_continuous_line_builds_no_tree():

@@ -14,7 +14,7 @@ from hillvallea.orchestrator import (ElitistArchive, RunReport,
                                      archive_insert, initial_population_size,
                                      min_core_population, postprocess_archive,
                                      run_hillvallea)
-from hillvallea.problem import BudgetedEvaluator, Solution
+from hillvallea.problem import BudgetedEvaluator
 
 import reference_clustering as ref
 from conftest import (double_well, evaluate_point, fallback_spans, sphere,
@@ -44,7 +44,7 @@ class TestArchiveInsert:
         assert archive_insert(a, evaluate_point(double_well_eval, 1.0), 7,
                               double_well_eval) == "appended"
         assert len(a) == 1
-        assert a.gen_cap == 7
+        assert a.max_generation == 7
 
     def test_distinct_niche_appends(self, double_well_eval):
         a = ElitistArchive()
@@ -60,7 +60,7 @@ class TestArchiveInsert:
                               double_well_eval) == "replaced"
         assert len(a) == 1
         assert a.x[0, 0] == pytest.approx(1.0)
-        assert a.gen_cap == 9
+        assert a.max_generation == 9
 
     def test_same_niche_worse_discarded(self, double_well_eval):
         a = ElitistArchive()
@@ -74,7 +74,7 @@ class TestArchiveInsert:
         for x in (1.0, -1.0):
             archive_insert(a, evaluate_point(double_well_eval, x), 1, double_well_eval)
         assert a.x.shape == (2, 1)
-        assert a.elite(a.nearest_index(np.array([0.8]))).x[0] == pytest.approx(1.0)
+        assert a.x[a.nearest_index(np.array([0.8])), 0] == pytest.approx(1.0)
         assert a.nearest_index(np.array([-0.4])) == 1
 
     @staticmethod
@@ -132,22 +132,23 @@ class TestArchiveInsert:
         if place != "anywhere":  # on an elite, or a small step off one
             x = ex[rng.integers(k)] + (place == "near") * rng.normal(0.0, 0.05, d)
         s = evaluate_point(BudgetedEvaluator(spec), spec.clamp(x))
+        sx, sf = s
 
         def archive():
             return ElitistArchive(x=ex.copy(), f=ef.copy())
 
         a = archive()
-        nearest = a.nearest_index(s.x)
+        nearest = a.nearest_index(sx)
         outcome = archive_insert(a, s, 5, BudgetedEvaluator(spec))
         explored = check_reexploration(s, archive(), BudgetedEvaluator(spec))
         assert (outcome == "discarded") == explored
         if outcome == "replaced":
-            assert s.f < ef[nearest]
-            assert a.x[nearest].tolist() == s.x.tolist() and a.f[nearest] == s.f
+            assert sf < ef[nearest]
+            assert a.x[nearest].tolist() == sx.tolist() and a.f[nearest] == sf
             assert len(a) == k
         elif outcome == "appended":
             assert len(a) == k + 1
-            assert a.x[-1].tolist() == s.x.tolist() and a.f[-1] == s.f
+            assert a.x[-1].tolist() == sx.tolist() and a.f[-1] == sf
         else:
             assert outcome == "discarded"
             assert a.x.tobytes() == ex.tobytes() and a.f.tobytes() == ef.tobytes()
@@ -157,7 +158,7 @@ class TestPostprocess:
     def _archive(self, fitnesses):
         a = ElitistArchive()
         for i, f in enumerate(fitnesses):
-            a.add(Solution(np.array([float(i)]), f), 1)
+            a.add((np.array([float(i)]), f), 1)
         return a
 
     def test_filters_local_optima(self):
@@ -183,7 +184,7 @@ class TestPostprocess:
     def test_kept_rows_do_not_alias_the_archive(self):
         a = self._archive([0.0, 0.3])
         x, f = postprocess_archive(a)
-        a.replace(0, Solution(np.array([9.0]), -1.0), 1)
+        a.replace(0, (np.array([9.0]), -1.0), 1)
         assert x.tolist() == [[0.0]]
         assert f.tolist() == [0.0]
 
@@ -302,7 +303,7 @@ class TestFullRun:
         spec = self._spec()
         report = run_hillvallea(spec, seed=3)
         e = BudgetedEvaluator(spec)
-        sols = [Solution(x, spec.to_internal(f)) for x, f in zip(*report.solutions)]
+        sols = [(x, spec.to_internal(f)) for x, f in zip(*report.solutions)]
         for i in range(len(sols)):
             for j in range(i + 1, len(sols)):
                 assert not hill_valley_test(sols[i], sols[j], 5, e).same_niche
