@@ -4,7 +4,7 @@
 #     scripts/byte_gate.sh BASE_SRC HEAD_SRC OUT
 #
 # BASE_SRC and HEAD_SRC are source trees (each put on PYTHONPATH in turn)
-# and OUT a directory for the records of both. Five comparisons:
+# and OUT a directory for the records of both. Six comparisons:
 #   1. `hillvallea run --problems 1-10 --runs 1 --jobs 2` at seeds 0 and
 #      1000: the CSV, stdout, stderr (a stray warning from a worker shows
 #      there) and the reports;
@@ -28,7 +28,13 @@
 #      drawn, with duplicates, from grids in [-2, 2]^d: spacing 0.001 in
 #      1-D, 0.25 and 0.01 in 2-D, 0.25 in 3-D, each cluster's size and the
 #      SHA-256 of its rows and fitness, and the evaluations made. Many of
-#      their neighbor rows are cut at a tie.
+#      their neighbor rows are cut at a tie;
+#   6. more dimensions than any CEC problem has: runs of two user problems
+#      at d = 4 and d = 5, five wells (the squared distance to the nearest
+#      of five centres, as in tests/test_acceptance.py) and a sphere with a
+#      NaN region, at budgets 3000 and 20000, both seeds, so the
+#      column-major coordinates and the column loop of `squared_distances`
+#      meet rows of four and five coordinates.
 # Every difference is reported; the exit status is 1 if there is any.
 set -u
 here=$(cd "$(dirname "$0")" && pwd)
@@ -82,6 +88,31 @@ for d, spacing in ((1, 0.001), (2, 0.25), (2, 0.01), (3, 0.25)):
     for x, f in clusters:
         print(len(f), hashlib.sha256(x.tobytes() + f.tobytes()).hexdigest())
 PY
+  PYTHONPATH="$src" python - > "$out/$side-wide.txt" <<'PY'
+import sys
+import numpy as np
+from hillvallea import run_hillvallea
+from hillvallea.problem import ProblemSpec
+
+for d in (4, 5):
+    centres = np.random.default_rng(d).uniform(0.0, 1.0, (5, d))
+
+    def wells(X):
+        return ((X[:, None, :] - centres) ** 2).sum(axis=2).min(axis=1)
+
+    def nan_sphere(X):
+        return np.where(X[:, 0] > 0.5, np.nan, ((X - 0.25) ** 2).sum(axis=1))
+
+    for name, objective, optima in (("wells", wells, centres),
+                                    ("NaN sphere", nan_sphere, [[0.25] * d])):
+        for budget in (3000, 20000):
+            spec = ProblemSpec(id=0, name=name, dimension=d, lower=[0.0] * d,
+                               upper=[1.0] * d, budget=budget, known_optima=optima,
+                               optimum_fitness=0.0, niche_radius=0.05,
+                               maximize=False, objective=objective)
+            sys.stdout.writelines(run_hillvallea(spec, s).serialize()
+                                  for s in (0, 1000))
+PY
   mkdir -p "$out/$side-commands"
   PYTHONPATH="$src" python -m hillvallea.cli list \
     > "$out/$side-commands/list.out" 2> "$out/$side-commands/list.err"
@@ -107,6 +138,7 @@ for seed in 0 1000; do
 done
 cmp "$out/base-cuts.txt" "$out/head-cuts.txt" || differ "reports at cut budgets"
 cmp "$out/base-tied.txt" "$out/head-tied.txt" || differ "reports of tied samples"
+cmp "$out/base-wide.txt" "$out/head-wide.txt" || differ "reports at d = 4 and 5"
 diff -r "$out/base-commands" "$out/head-commands" || differ "list and score"
 diff -r "$out/base-errors" "$out/head-errors" || differ "error paths"
 if [ "$status" -eq 0 ]; then echo "byte-identical"; fi

@@ -202,11 +202,8 @@ def check_reexploration(s: tuple[np.ndarray, float], archive: "ElitistArchive",
     """
     if not len(archive):
         return False
-    i = archive.nearest_index(s[0])
-    if archive.f[i] > s[1]:
-        return False
-    elite = archive.x[i], float(archive.f[i])
-    return hill_valley_test(s, elite, ELITE_TEST_POINTS, e).same_niche
+    elite = archive.nearest(s[0])[1]
+    return elite[1] <= s[1] and hill_valley_test(s, elite, ELITE_TEST_POINTS, e).same_niche
 
 
 def run_core_search(c: tuple[np.ndarray, np.ndarray], pop_size: int,

@@ -37,14 +37,15 @@ class CampaignConfig:
         ids = self.problem_ids
         if not ids:
             raise ValueError("no problems selected")
+        for name, minimum, value in (("runs", 1, self.runs), ("jobs", 1, self.jobs),
+                                     ("seed", 0, self.base_seed),  # numpy: seed >= 0
+                                     *(("problem id", -math.inf, pid) for pid in ids)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            check_int(name, minimum, value)
         repeated = [pid for i, pid in enumerate(ids) if pid in ids[:i]]
         if repeated:
             raise ValueError(f"problem {repeated[0]} is selected more than once")
-        for name, minimum, value in (("runs", 1, self.runs), ("jobs", 1, self.jobs),
-                                     ("seed", 0, self.base_seed)):  # numpy: seed >= 0
-            if not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            check_int(name, minimum, value)
         check_epsilon(self.epsilon)
 
 
@@ -154,16 +155,15 @@ def cmd_run(config: CampaignConfig, out=None) -> int:
         return _fail(f"cannot write {csv_path}: {why}")
     tasks = [(pid, config.base_seed + i, config.epsilon)
              for pid in config.problem_ids for i in range(config.runs)]
-    reports = {}
-    if config.reports_dir:
+    paths = []  # of the reports, in task order
+    if config.reports_dir is not None:
         rdir = Path(config.reports_dir)
         try:
             rdir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             return _fail(f"cannot create {rdir}: {exc}")
-        reports = {(pid, seed): rdir / f"problem{pid:02d}_seed{seed}.txt"
-                   for pid, seed, _ in tasks}
-    for path in reports.values():
+        paths = [rdir / f"problem{pid:02d}_seed{seed}.txt" for pid, seed, _ in tasks]
+    for path in paths:
         if path.is_dir():
             return _fail(f"cannot write {path}: it is a directory")
 
@@ -188,10 +188,8 @@ def cmd_run(config: CampaignConfig, out=None) -> int:
                      repr(agg.mean_f1_harmonic)])
 
     try:
-        if reports:
-            for report, _ in results:
-                path = reports[report.problem_id, report.seed]
-                path.write_text(report.serialize())
+        for path, (report, _) in zip(paths, results):
+            path.write_text(report.serialize())
         path = config.out_path
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)

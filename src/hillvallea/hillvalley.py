@@ -126,7 +126,9 @@ def hill_valley_tests(starts: np.ndarray, ends: np.ndarray,
     Returns every evaluated point in evaluation order: its pair, row,
     fitness and whether it was accepted.
     """
-    owners, xs, fs, oks = [], [], [], []
+    # each list starts with the empty result, which no pair to test returns
+    owners, xs, fs, oks = ([np.empty(0, dtype=int)], [np.empty((0, starts.shape[1]))],
+                           [np.empty(0)], [np.empty(0, dtype=bool)])
     live = np.flatnonzero(n_test > 0)
     k = 1
     while live.size:
@@ -140,9 +142,6 @@ def hill_valley_tests(starts: np.ndarray, ends: np.ndarray,
         oks.append(ok)
         live = live[ok & (n_test[live] > k)]
         k += 1
-    if not owners:
-        return (np.empty(0, dtype=int), np.empty((0, starts.shape[1])),
-                np.empty(0), np.empty(0, dtype=bool))
     return (np.concatenate(owners), np.concatenate(xs), np.concatenate(fs),
             np.concatenate(oks))
 
@@ -343,8 +342,8 @@ def cluster_population(pop: tuple[np.ndarray, np.ndarray],
     d = spec.dimension
     order = np.argsort(pop_f, kind="stable")
     xs, fs = pop_x[order], pop_f[order]
-    coords = xs / (spec.upper - spec.lower)  # box-normalized
-    columns = np.asfortranarray(coords)  # for walks past the shortlist
+    # box-normalized, column-major for the distances past the shortlist
+    coords = np.asfortranarray(xs / (spec.upper - spec.lower))
     edge = expected_edge_length(spec, n)
     max_attempts = 1 + d * EXTRA_ATTEMPTS_PER_DIM
 
@@ -358,7 +357,7 @@ def cluster_population(pop: tuple[np.ndarray, np.ndarray],
     nearest, full = nearest_better(rows, n, shortlist_k)
     # Where the shortlist has no better neighbor, the first one past it.
     for i in np.flatnonzero(nearest[1:] < 0) + 1:
-        nearest[i] = squared_distances(columns[:i], coords[i]).argmin()
+        nearest[i] = squared_distances(coords[:i], coords[i]).argmin()
 
     def better_neighbors(i):
         """Rank ``i``'s better neighbors in walk order, as index arrays."""
@@ -366,13 +365,15 @@ def cluster_population(pop: tuple[np.ndarray, np.ndarray],
         yield better
         # On from the row's last better entry: the row holds every point
         # before its own end, so every better one after that entry is past it.
-        yield from nearest_first(columns[:i], coords[i], 2 * shortlist_k,
+        yield from nearest_first(coords[:i], coords[i], 2 * shortlist_k,
                                  better[-1] if len(better) else -1)
 
     root = np.arange(n)  # root[i]: whose cluster i shares
     label = np.zeros(n, dtype=int)  # cluster of each root: its founder's rank
     waiters: dict[int, list[int]] = {}  # undecided root -> walks waiting on it
-    tests = []  # (rank, x, f) of accepted test points, in evaluation order
+    # (rank, x, f) of the members: the solutions, then the accepted test
+    # points in evaluation order
+    members = [(np.arange(n), xs, fs)]
 
     def run_tests(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Test rank ``a[p]`` against rank ``b[p]`` for every p at once;
@@ -382,7 +383,7 @@ def cluster_population(pop: tuple[np.ndarray, np.ndarray],
         n_test[(xa == xb).all(axis=1)] = 0
         owner, tx, tf, ok = hill_valley_tests(
             xa, xb, np.maximum(fs[a], fs[b]), n_test, e)
-        tests.append((a[owner[ok]], tx[ok], tf[ok]))
+        members.append((a[owner[ok]], tx[ok], tf[ok]))
         passed = np.ones(len(a), dtype=bool)
         passed[owner[~ok]] = False
         return passed
@@ -471,9 +472,7 @@ def cluster_population(pop: tuple[np.ndarray, np.ndarray],
     label_roots(roots)
     label[:] = label[root]
 
-    rank = np.concatenate([np.arange(n)] + [t[0] for t in tests])
+    rank, mx, mf = map(np.concatenate, zip(*members))
     member = np.argsort(label[rank] * n + rank, kind="stable")
-    mx = np.concatenate([xs] + [t[1] for t in tests])[member]
-    mf = np.concatenate([fs] + [t[2] for t in tests])[member]
     bounds = np.flatnonzero(np.diff(label[rank][member])) + 1
-    return list(zip(np.split(mx, bounds), np.split(mf, bounds)))
+    return list(zip(np.split(mx[member], bounds), np.split(mf[member], bounds)))

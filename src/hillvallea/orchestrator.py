@@ -33,7 +33,8 @@ class ElitistArchive:
 
     The elites are the rows of one (k, d) matrix ``x`` with fitness ``f``,
     a population pair; an empty archive holds a (0, 0) matrix, takes its
-    width from the first elite added, and has best fitness +inf.
+    width from the first elite added, and has best fitness +inf. Elites
+    come in and, from ``nearest``, go out as points ``(x, f)``.
     ``max_generation`` is the most generations any inserted core search
     took, and at least 1.
     """
@@ -49,14 +50,16 @@ class ElitistArchive:
     def best_fitness(self) -> float:
         return float(self.f.min(initial=np.inf))
 
-    def nearest_index(self, x: np.ndarray) -> int:
-        """Index of the elite closest to ``x`` (first one on ties), by the
-        distances of ``squared_distances``; their ``sqrt`` can merge squares,
-        which decides ties. Below eight coordinates these are the
-        ``np.linalg.norm`` distances bit for bit; from eight on, each row's
-        squares are added left to right, as in clustering, where numpy sums
-        them pairwise."""
-        return int(np.sqrt(squared_distances(self.x, x)).argmin())
+    def nearest(self, x: np.ndarray) -> tuple[int, tuple[np.ndarray, float]]:
+        """The elite closest to ``x`` (first one on ties): its index ``i``
+        and the point ``(x[i], f[i])``, with its fitness as a Python float.
+        Closest by the distances of ``squared_distances``; their ``sqrt``
+        can merge squares, which decides ties. Below eight coordinates these
+        are the ``np.linalg.norm`` distances bit for bit; from eight on,
+        each row's squares are added left to right, as in clustering, where
+        numpy sums them pairwise."""
+        i = int(np.sqrt(squared_distances(self.x, x)).argmin())
+        return i, (self.x[i], float(self.f[i]))
 
     def add(self, s: tuple[np.ndarray, float], gens: int) -> None:
         self.x = np.vstack([self.x.reshape(-1, len(s[0])), s[0]])
@@ -77,10 +80,9 @@ def archive_insert(a: ElitistArchive, s: tuple[np.ndarray, float], gens: int,
     discarded. Returns one of "appended", "replaced", "discarded".
     """
     if len(a):
-        idx = a.nearest_index(s[0])
-        elite = a.x[idx], float(a.f[idx])
+        idx, elite = a.nearest(s[0])
         if hill_valley_test(s, elite, ELITE_TEST_POINTS, e).same_niche:
-            if s[1] < a.f[idx]:
+            if s[1] < elite[1]:
                 a.replace(idx, s, gens)
                 return "replaced"
             return "discarded"

@@ -100,9 +100,10 @@ class TestCampaignConfig:
 
     @pytest.mark.parametrize("field, name", [("runs", "runs"), ("jobs", "jobs"),
                                              ("base_seed", "seed")])
-    @pytest.mark.parametrize("value", [1.5, 2.0, np.float64(3.0), "2", None])
+    @pytest.mark.parametrize("value", [1.5, 2.0, np.float64(3.0), "2", None, True])
     def test_rejects_non_integer_counts(self, field, name, value):
-        # 1.5 used to pass int() and fail later inside cmd_run or numpy
+        # 1.5 used to pass int() and fail later inside cmd_run or numpy; True
+        # passed as 1
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             CampaignConfig(problem_ids=[3], **{field: value})
 
@@ -110,6 +111,14 @@ class TestCampaignConfig:
     def test_accepts_numpy_integers(self, field):
         config = CampaignConfig(problem_ids=[3], **{field: np.int64(2)})
         assert getattr(config, field) == 2
+
+    @pytest.mark.parametrize("pid", [1.0, True, "1"])
+    def test_rejects_non_integer_problem_ids(self, pid):
+        # 1.0 and True used to run and write "1.0" or "True" in the CSV (1.0
+        # failed naming its report files), and "1" failed as unknown
+        with pytest.raises(ValueError) as exc_info:
+            CampaignConfig(problem_ids=[pid])
+        assert str(exc_info.value) == f"problem id must be an integer, got {pid!r}"
 
     @pytest.mark.parametrize("ids, repeated", [([3, 1, 3], 3), ([2, 2], 2),
                                                ([1, 4, 5, 4, 1], 4)])
@@ -338,6 +347,17 @@ class TestRunCommand:
         assert runs == []
         assert not (tmp_path / "rep").exists()
         assert not (tmp_path / "missing").exists()
+
+    def test_empty_reports_dir_is_the_working_directory(self, tmp_path, capfd,
+                                                        monkeypatch):
+        # "" used to ask for reports, write none and exit 0
+        monkeypatch.chdir(tmp_path)
+        config = CampaignConfig(problem_ids=[2], runs=1, out_path="r.csv",
+                                reports_dir="")
+        assert cli.cmd_run(config) == 0
+        capfd.readouterr()
+        report = RunReport.parse((tmp_path / "problem02_seed0.txt").read_text())
+        assert (report.problem_id, report.seed) == (2, 0)
 
     def test_report_write_error_fails_cleanly(self, tmp_path, capfd, monkeypatch):
         # the report path becomes a directory while the campaign runs

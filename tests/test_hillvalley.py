@@ -125,6 +125,25 @@ class TestHillValleyTest:
         got = run(lambda e: hill_valley_test(a, b, n_test, e).same_niche)
         assert got == run(batched)
 
+    @pytest.mark.parametrize("pairs", [0, 3])
+    @pytest.mark.parametrize("d", [1, 4])
+    def test_no_pair_to_test_is_empty(self, pairs, d):
+        # an empty batch, or pairs whose counts are all 0: no objective call
+        calls = []
+
+        def spy(X):
+            calls.append(len(X))
+            return sphere(X)
+
+        e = BudgetedEvaluator(_spec(spy, d))
+        starts = np.random.default_rng(d).uniform(-2.0, 2.0, (2, pairs, d))
+        owner, x, f, ok = hillvalley.hill_valley_tests(
+            *starts, np.ones(pairs), np.zeros(pairs, dtype=int), e)
+        assert [a.shape for a in (owner, x, f, ok)] == [(0,), (0, d), (0,), (0,)]
+        assert np.issubdtype(owner.dtype, np.integer)
+        assert x.dtype == f.dtype == np.float64 and ok.dtype == bool
+        assert calls == [] and e.used == 0
+
 
 class TestClusterPopulation:
     def test_single_solution(self, sphere_eval):
@@ -456,12 +475,12 @@ def test_nearest_first_is_the_stable_argsort(d, i, chunk, seed):
 @given(d=st.integers(1, 5), i=st.integers(1, 300), seed=st.integers(0, 2 ** 16))
 def test_argmin_is_the_head_of_nearest_first(d, i, seed):
     # The first partner past the shortlist: the first of the nearest, on a
-    # grid where many better predecessors tie, over the column-major copy
-    # that clustering makes.
-    coords = np.random.default_rng(seed).integers(0, 4, (i + 1, d)) / 4.0
-    columns = np.asfortranarray(coords)
-    head = next(nearest_first(columns[:i], coords[i], 2 * 8 * (1 + d)))[0]
-    assert squared_distances(columns[:i], coords[i]).argmin() == head
+    # grid where many better predecessors tie, over column-major coordinates
+    # like clustering's.
+    coords = np.asfortranarray(
+        np.random.default_rng(seed).integers(0, 4, (i + 1, d)) / 4.0)
+    head = next(nearest_first(coords[:i], coords[i], 2 * 8 * (1 + d)))[0]
+    assert squared_distances(coords[:i], coords[i]).argmin() == head
 
 
 @settings(max_examples=300, deadline=None)

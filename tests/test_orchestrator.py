@@ -74,8 +74,17 @@ class TestArchiveInsert:
         for x in (1.0, -1.0):
             archive_insert(a, evaluate_point(double_well_eval, x), 1, double_well_eval)
         assert a.x.shape == (2, 1)
-        assert a.x[a.nearest_index(np.array([0.8])), 0] == pytest.approx(1.0)
-        assert a.nearest_index(np.array([-0.4])) == 1
+        i, (x, f) = a.nearest(np.array([0.8]))
+        assert x[0] == pytest.approx(1.0)
+        assert a.nearest(np.array([-0.4]))[0] == 1
+        self._assert_stored(a, i, x, f)
+
+    @staticmethod
+    def _assert_stored(a, i, x, f):
+        """The nearest elite is the stored row ``i``, its fitness a Python
+        float."""
+        assert x.tolist() == a.x[i].tolist()
+        assert type(f) is float and f == a.f[i]
 
     @staticmethod
     def _tied_elites(k, d, nudge, seed):
@@ -92,15 +101,17 @@ class TestArchiveInsert:
     @settings(max_examples=300, deadline=None)
     @given(k=st.integers(1, 30), d=st.integers(1, 7), nudge=st.booleans(),
            seed=st.integers(0, 2 ** 16))
-    def test_nearest_index_is_the_norm_argmin(self, k, d, nudge, seed):
+    def test_nearest_is_the_norm_argmin(self, k, d, nudge, seed):
         x, p = self._tied_elites(k, d, nudge, seed)
-        a = ElitistArchive(x=x, f=np.zeros(len(x)))
-        assert a.nearest_index(p) == int(np.argmin(np.linalg.norm(x - p, axis=1)))
+        a = ElitistArchive(x=x, f=np.arange(len(x)) / 4.0)
+        i, point = a.nearest(p)
+        assert i == int(np.argmin(np.linalg.norm(x - p, axis=1)))
+        self._assert_stored(a, i, *point)
 
     @settings(max_examples=100, deadline=None)
     @given(k=st.integers(1, 30), d=st.integers(8, 12), nudge=st.booleans(),
            seed=st.integers(0, 2 ** 16))
-    def test_nearest_index_sums_long_rows_left_to_right(self, k, d, nudge, seed):
+    def test_nearest_sums_long_rows_left_to_right(self, k, d, nudge, seed):
         # from eight coordinates on, numpy's norm sums pairwise; the lookup
         # adds each row's squares left to right, as clustering does
         x, p = self._tied_elites(k, d, nudge, seed)
@@ -110,8 +121,10 @@ class TestArchiveInsert:
             for xi, pi in zip(row.tolist(), p.tolist()):
                 total += (xi - pi) ** 2
             dists.append(math.sqrt(total))
-        a = ElitistArchive(x=x, f=np.zeros(len(x)))
-        assert a.nearest_index(p) == dists.index(min(dists))
+        a = ElitistArchive(x=x, f=np.arange(len(x)) / 4.0)
+        i, point = a.nearest(p)
+        assert i == dists.index(min(dists))
+        self._assert_stored(a, i, *point)
 
     @settings(max_examples=300, deadline=None)
     @given(d=st.integers(1, 2), wells=st.integers(1, 4), k=st.integers(1, 6),
@@ -138,7 +151,7 @@ class TestArchiveInsert:
             return ElitistArchive(x=ex.copy(), f=ef.copy())
 
         a = archive()
-        nearest = a.nearest_index(sx)
+        nearest = a.nearest(sx)[0]
         outcome = archive_insert(a, s, 5, BudgetedEvaluator(spec))
         explored = check_reexploration(s, archive(), BudgetedEvaluator(spec))
         assert (outcome == "discarded") == explored

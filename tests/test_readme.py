@@ -1,9 +1,11 @@
-"""The README's Library example runs as written, and its parameter
-table names every module constant of the algorithm at its value."""
+"""The README's Library example runs as written, its parameter table
+names every module constant of the algorithm at its value, and its
+literal table names the function that holds each literal."""
 
 import ast
 import contextlib
 import importlib
+import inspect
 import io
 import re
 from pathlib import Path
@@ -46,3 +48,24 @@ def test_parameter_table_names_every_constant():
     for m, name, value in rows:
         module = importlib.import_module(f"hillvallea.{m}")
         assert eval(value, {"__builtins__": {}}) == getattr(module, name), name
+
+
+# Each literal of the README's literal table, with its code as written in
+# the function that its row names.
+LITERALS = {"8 + ⌈2√d⌉": "8 + math.ceil(2.0 * math.sqrt(dimension))",
+            "0.5": "0.5 * (spec.upper - spec.lower)",
+            "8": "8 * max_attempts"}
+
+
+def test_literal_table_names_where_each_literal_is():
+    table = re.search(r"^\| Literal \| Where \|.*?\n\n", README.read_text(),
+                      re.MULTILINE | re.DOTALL).group()
+    rows = re.findall(r"^\| `([^`]+)` \| ([^|]+) \|", table, re.MULTILINE)
+    assert [literal for literal, _ in rows] == list(LITERALS)
+    modules = [importlib.import_module(f"hillvallea.{m}")
+               for m in ("orchestrator", "hillvalley")]
+    for literal, where in rows:
+        # the row's last name in backticks is the function, "(d)" aside
+        name = re.findall(r"`(\w+)[^`]*`", where)[-1]
+        function = next(getattr(m, name) for m in modules if hasattr(m, name))
+        assert LITERALS[literal] in inspect.getsource(function), literal
