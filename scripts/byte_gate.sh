@@ -26,9 +26,12 @@
 #      coordinates are multiples of the spacing of floats there, so the
 #      samples repeat values); and `cluster_population` of 8192 points
 #      drawn, with duplicates, from grids in [-2, 2]^d: spacing 0.001 in
-#      1-D, 0.25 and 0.01 in 2-D, 0.25 in 3-D, each cluster's size and the
-#      SHA-256 of its rows and fitness, and the evaluations made. Many of
-#      their neighbor rows are cut at a tie;
+#      1-D, 0.25 and 0.01 in 2-D, 0.25 in 3-D, and of 8192 distinct points
+#      from a normal distribution of width 0.001 in [-2, 2]^2 and [-2, 2]^3,
+#      each cluster's size and the SHA-256 of its rows and fitness, and the
+#      evaluations made. Many of the grids' neighbor rows are cut at a tie
+#      or start with a point's copies, and the narrow samples are clumped
+#      so far below the pair radius that clustering skips its pair query;
 #   6. more dimensions than any CEC problem has: runs of two user problems
 #      at d = 4 and d = 5, five wells (the squared distance to the nearest
 #      of five centres, as in tests/test_acceptance.py) and a sphere with a
@@ -75,16 +78,21 @@ plane = ProblemSpec(id=0, name="far plane", dimension=2, lower=[-3e8 - 1e-5] * 2
 sys.stdout.writelines(run_hillvallea(dataclasses.replace(spec, budget=b), s).serialize()
                       for s in (0, 1000) for spec in (line, plane)
                       for b in (3, 300, 3000, 12345, 50000))
-for d, spacing in ((1, 0.001), (2, 0.25), (2, 0.01), (3, 0.25)):
+samples = [(f"grid d={d} spacing={spacing}",
+            np.random.default_rng(d).integers(0, round(4 / spacing) + 1, (8192, d))
+            * spacing - 2.0)
+           for d, spacing in ((1, 0.001), (2, 0.25), (2, 0.01), (3, 0.25))]
+samples += [(f"narrow Gaussian d={d}", np.random.default_rng(d).normal(0.0, 1e-3, (8192, d)))
+            for d in (2, 3)]
+for name, xs in samples:
+    d = xs.shape[1]
     spec = ProblemSpec(id=0, name="grid", dimension=d, lower=[-2.0] * d,
                        upper=[2.0] * d, budget=10 ** 6, known_optima=[[0.0] * d],
                        optimum_fitness=0.0, niche_radius=0.1, maximize=False,
                        objective=lambda X: np.cos(16 * X).sum(axis=1) + 0.1 * (X * X).sum(axis=1))
-    steps = round(4 / spacing)
-    xs = np.random.default_rng(d).integers(0, steps + 1, (8192, d)) * spacing - 2.0
     e = BudgetedEvaluator(spec)
     clusters = cluster_population(e.evaluate_batch(xs), e)
-    print(f"grid d={d} spacing={spacing}: {len(clusters)} clusters, {e.used} evaluations")
+    print(f"{name}: {len(clusters)} clusters, {e.used} evaluations")
     for x, f in clusters:
         print(len(f), hashlib.sha256(x.tobytes() + f.tobytes()).hexdigest())
 PY

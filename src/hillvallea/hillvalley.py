@@ -68,6 +68,21 @@ row: entry j as it is when the distances rise by more than
 the first entry that is not proven so. A point's better neighbors past
 its proven entries come from the distances to all of them (``argmin``,
 ``nearest_first``).
+
+First partners from one radius. ``neighbour_rows`` also lists the pairs
+of points within a radius r of ``PAIR_RADIUS`` expected spacings. The
+sorted line finds them exactly; the KD-tree adds a pair's squares in its
+own order, which moves the squared distance by less than
+``ROUNDING_MARGIN`` of it. So every pair whose squared distance is at
+most r² (1 - ``ROUNDING_MARGIN``) is listed, and every pair not listed is
+at least that far. A point's partner is its better listed partner of
+least (squared distance, index). Where that distance is below
+r² (1 - ``ROUNDING_MARGIN``), every better point not listed is farther,
+so the partner is the point's first better neighbor, exactly. Only the
+points left open, with no better point that near, read their full rows,
+and past those the ``argmin``. A sample whose pairs could outnumber
+``PAIR_LIMIT`` times the entries of its full rows (duplicates, clumps)
+skips the pair query, and every point reads its full row.
 """
 
 from __future__ import annotations
@@ -89,18 +104,28 @@ MAX_TEST_POINTS = 5
 # Extra nearest-better attempts (beyond the first) per dimension.
 EXTRA_ATTEMPTS_PER_DIM = 1
 
-# Neighbors per point in the first query, of every point, which only
-# finds the nearest better neighbors its rows prove (see "Neighbor order"
-# above); 6 or 7 ran fastest on the CEC2013 samples of d = 1 to 3, where
-# 6-8% of the points then needed their full shortlist.
-NARROW_K = 6
+# Radius of the pair query that proves most first partners (see "First
+# partners from one radius" above), in expected spacings of the
+# box-normalized sample. On the CEC2013 samples of problems 1-10 it left
+# 22%, 4.9% and 2.9% of the points open in d = 1, 2 and 3, with 1.5, 3.5
+# and 6.6 pairs a point, and ran faster than 2 or 2.5 spacings, which
+# also overran the limit below on 3-D samples. Results do not depend on it.
+PAIR_RADIUS = 1.5
+
+# The pair query is skipped, and every point reads its full row, when its
+# pairs could outnumber this many times the entries of all full rows,
+# n · (8·(1+d) + 1). Duplicates and clumps do that, and so do large
+# samples in d >= 4, where a cell's 3^d block bounds the pairs loosely;
+# the CEC2013 samples of d <= 3 stay below 0.63 of it.
+PAIR_LIMIT = 2
 
 # Relative rise of a proposed row's distances, from each entry to the
 # next, past which the entries before it are the nearest points by
-# ``squared_distances`` too. The KD-tree adds a row's squares in another
-# order and takes a square root, which moves a distance by less than
-# d * 2**-52 of itself: the margin covers that below about 4 million
-# dimensions.
+# ``squared_distances`` too; and the share of r² below which a first
+# partner from the pairs within r is trusted. The KD-tree adds a row's
+# squares in another order and takes a square root, which moves a
+# distance by less than d * 2**-52 of itself: the margin covers that
+# below about 4 million dimensions.
 ROUNDING_MARGIN = 1e-9
 
 
@@ -160,11 +185,12 @@ def hill_valley_test(a: tuple[np.ndarray, float], b: tuple[np.ndarray, float],
     call, each compared with the worse endpoint in the same order.
     """
     (xa, fa), (xb, fb) = a, b
-    if np.array_equal(xa, xb):
+    if (xa == xb).all():
         return HillValleyOutcome(True)
     points = xa + (np.arange(1, n_test + 1) / (n_test + 1))[:, None] * (xb - xa)
+    worst = max(fa, fb)
     for k in range(n_test):
-        if e.evaluate_batch(points[k:k + 1])[1][0] > max(fa, fb):
+        if e.evaluate_batch(points[k:k + 1])[1][0] > worst:
             return HillValleyOutcome(False)
     return HillValleyOutcome(True)
 
@@ -236,32 +262,64 @@ def _next_chunk(points: np.ndarray, x: np.ndarray, last: int,
     return rest[np.lexsort((rest, d[rest]))], more
 
 
-def neighbour_rows(coords: np.ndarray) -> Callable[[np.ndarray, int], np.ndarray]:
-    """``rows(idx, k)``: the rows of points ``idx`` in neighbor order, k
-    entries each, from one query of their k + 1 nearest points (index n
-    past the last point).
+def neighbour_rows(coords: np.ndarray) -> tuple[Callable, Callable]:
+    """``(rows, pairs)``. ``rows(idx, k)``: the rows of points ``idx`` in
+    neighbor order, k entries each, from one query of their k + 1 nearest
+    points (index n past the last point). ``pairs(r, most)``: every pair
+    of points within distance r, as rows ``(a, b)`` with ``a < b``; or
+    None, without a query, when more than ``most`` pairs could be that
+    near.
 
-    In d >= 2 a KD-tree proposes them; scipy is imported here, not with
-    the package, so a process that builds no tree (a 1-D run, ``list``,
-    ``score``) never pays its import. In d = 1 a merge over the sorted
-    sample does: each step takes the nearer of a point's next-left and
-    next-right places by squared gap, which is ``squared_distances`` in
-    one coordinate, starting from the point's own place. Where the
-    proposed distances rise by more than the margin at every step up to
-    entry j + 1, the first j + 1 entries are the nearest points in that
-    order by ``squared_distances`` too, and are read as they are. From
-    the first entry not proven so on, a row is left empty (index n), so
-    that its point's better neighbors past the proven entries come from
-    all of them, sorted exactly: the first by ``argmin``, the walk's by
-    ``nearest_first`` on from the row's last better entry. Two pads (inf)
-    do not rise, so no pad is ever read as a point."""
+    In d >= 2 a KD-tree proposes the rows and finds the pairs; scipy is
+    imported here, not with the package, so a process that builds no tree
+    (a 1-D run, ``list``, ``score``) never pays its import. In d = 1 the
+    sorted sample does. A row comes from a merge: each step takes the
+    nearer of a point's next-left and next-right places by squared gap,
+    which is ``squared_distances`` in one coordinate, starting from the
+    point's own place. The pairs come from a window on the line: each
+    point with the points after it up to its own value plus r, that sum
+    rounded down, so the window holds exactly the points within r.
+
+    Where the proposed distances rise by more than the margin at every
+    step up to entry j + 1, the first j + 1 entries are the nearest points
+    in that order by ``squared_distances`` too, and are read as they are.
+    A leading run of zero distances (the point and its copies) is exact
+    in any arithmetic: when a positive distance follows it in the row,
+    the run holds every copy, ordered here by index, and counts as
+    rising. From the first entry not proven so on, a row is left empty
+    (index n), so that its point's better neighbors past the proven
+    entries come from all of them, sorted exactly: the first by
+    ``argmin``, the walk's by ``nearest_first`` on from the row's last
+    better entry. Two pads (inf) do not rise, so no pad is ever read as
+    a point."""
     n, d = coords.shape
     if d > 1:
         from scipy.spatial import cKDTree
-        tree = cKDTree(coords)
+        # sliding-midpoint splits and unshrunk boxes build in 50-60% of the
+        # default's time on the CEC2013 samples and query within a tenth of
+        # it; the rows and pairs read do not depend on the tree's shape
+        tree = cKDTree(coords, balanced_tree=False, compact_nodes=False)
 
         def propose(idx, m):
             return tree.query(coords[idx], k=m)
+
+        def pairs(r, most):
+            # a pair within r lies in one cell of side r or in two adjacent
+            # ones, so a point pairs at most with the rest of its cell's
+            # 3^d block: sum those counts over one padded grid of cells
+            scaled = (coords - coords.min(axis=0)) / r
+            if np.prod(scaled.max(axis=0) + 3) > most:  # the grid, before the cast
+                return None
+            cell = scaled.astype(np.intp) + 1
+            shape = cell.max(axis=0) + 2
+            count = np.bincount(np.ravel_multi_index(cell.T, shape),
+                                minlength=shape.prod()).reshape(shape)
+            block = count
+            for axis in range(d):
+                block = block + np.roll(block, 1, axis) + np.roll(block, -1, axis)
+            if (int((count * block).sum()) - n) // 2 > most:
+                return None
+            return tree.query_pairs(r, output_type="ndarray")
     else:
         c = coords[:, 0]
         order = np.argsort(c, kind="stable")
@@ -285,11 +343,33 @@ def neighbour_rows(coords: np.ndarray) -> Callable[[np.ndarray, int], np.ndarray
                 right += ~go_left
             return dist.T, near.T
 
+        def pairs(r, most):
+            s = line[1:-1]
+            # the float at or below s + r: the rounded sum, one step down
+            # where it rounded up
+            top = s + r
+            err = (s - (top - (top - s))) + (r - (top - s))  # top + err == s + r
+            top = np.where(err < 0, np.nextafter(top, -np.inf), top)
+            count = np.searchsorted(s, top, side="right") - np.arange(1, n + 1)
+            total = int(count.sum())
+            if total > most:
+                return None
+            first = np.repeat(np.arange(n), count)  # the window's own place
+            after = np.arange(total) - np.repeat(np.cumsum(count) - count, count)
+            a, b = order[first], order[first + 1 + after]
+            return np.column_stack((np.minimum(a, b), np.maximum(a, b)))
+
     def rows(idx: np.ndarray, k: int) -> np.ndarray:
         dist, near = propose(idx, k + 1)
-        rise = dist[:, 1:] > dist[:, :-1] * (1 + ROUNDING_MARGIN)
+        copies = np.flatnonzero(dist[:, 1] == 0)
+        if copies.size:  # each zero run by index, the rest as it is
+            key = np.where(dist[copies] == 0, near[copies], n + np.arange(k + 1))
+            near[copies] = np.take_along_axis(near[copies], np.argsort(key, axis=1),
+                                              axis=1)
+        rise = ((dist[:, 1:] > dist[:, :-1] * (1 + ROUNDING_MARGIN))
+                | ((dist[:, 1:] == 0) & (dist[:, -1:] > 0)))
         return np.where(np.logical_and.accumulate(rise, axis=1), near[:, :k], n)
-    return rows
+    return rows, pairs
 
 
 def first_better(rows: np.ndarray, ranks: np.ndarray) -> np.ndarray:
@@ -300,14 +380,28 @@ def first_better(rows: np.ndarray, ranks: np.ndarray) -> np.ndarray:
                     rows[np.arange(len(rows)), below.argmax(axis=1)], -1)
 
 
-def nearest_better(rows: Callable[[np.ndarray, int], np.ndarray], n: int,
+def nearest_better(coords: np.ndarray, rows: Callable, pairs: Callable,
                    k: int) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """Each of the n points' first better neighbor in its row of ``rows``,
-    or -1 where the row holds none (always for rank 0); and the full rows
-    (k entries) it fetched, by point. Only the points whose row of
-    ``NARROW_K`` nearest holds none get their full rows."""
-    ranks = np.arange(n)
-    nearest = first_better(rows(ranks, NARROW_K - 1), ranks)
+    """Each point's first better neighbor, from the ``rows`` and ``pairs``
+    of ``neighbour_rows(coords)``, or -1 where neither the pairs prove it
+    nor its row of k entries holds it (always for rank 0); and the full
+    rows it fetched, by point: those of the points the pairs leave open
+    (see "First partners from one radius" above)."""
+    n, d = coords.shape
+    r = PAIR_RADIUS * n ** (-1 / d)
+    least, partner = np.full(n, np.inf), np.full(n, n)
+    found = pairs(r, PAIR_LIMIT * n * (k + 1))
+    if found is not None:
+        a, b = found.T  # a < b: a is the better of the two
+        # a column at a time, as squared_distances adds them, so that the
+        # pairs' rows are never gathered whole
+        sq = squared_distances(coords[a, :1], coords[b, :1])
+        for col in range(1, d):
+            sq += squared_distances(coords[a, col:col + 1], coords[b, col:col + 1])
+        np.minimum.at(least, b, sq)
+        tie = sq == least[b]
+        np.minimum.at(partner, b[tie], a[tie])
+    nearest = np.where(least < r * r * (1 - ROUNDING_MARGIN), partner, -1)
     redo = np.flatnonzero(nearest[1:] < 0) + 1
     full = rows(redo, k)
     nearest[redo] = first_better(full, redo)
@@ -353,8 +447,8 @@ def cluster_population(pop: tuple[np.ndarray, np.ndarray],
     # that exhausts its shortlist goes on to the distances to all its
     # better predecessors.
     shortlist_k = 8 * max_attempts
-    rows = neighbour_rows(coords)
-    nearest, full = nearest_better(rows, n, shortlist_k)
+    rows, pairs = neighbour_rows(coords)
+    nearest, full = nearest_better(coords, rows, pairs, shortlist_k)
     # Where the shortlist has no better neighbor, the first one past it.
     for i in np.flatnonzero(nearest[1:] < 0) + 1:
         nearest[i] = squared_distances(coords[:i], coords[i]).argmin()

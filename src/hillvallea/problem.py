@@ -146,7 +146,7 @@ class BudgetedEvaluator:
         values = np.empty(0)
         if fit > 0:
             values = self.spec.objective(xs[:fit])
-            if np.iscomplexobj(values):  # the float cast would drop the imaginary part
+            if np.asarray(values).dtype.kind == "c":  # a float cast drops imaginary parts
                 raise ValueError(f"objective of problem {self.spec.id} returned "
                                  f"complex values for {fit} rows; expected real ones")
             values = np.array(values, dtype=float)  # own copy

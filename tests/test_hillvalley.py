@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -9,8 +10,9 @@ from hypothesis import strategies as st
 
 from hillvallea import hillvalley, orchestrator
 from hillvallea.benchmarks import get_problem
-from hillvallea.hillvalley import (MAX_TEST_POINTS, NARROW_K, ROUNDING_MARGIN,
-                                   cluster_population, expected_edge_length,
+from hillvallea.hillvalley import (MAX_TEST_POINTS, PAIR_LIMIT, PAIR_RADIUS,
+                                   ROUNDING_MARGIN, cluster_population,
+                                   expected_edge_length,
                                    nearest_better, nearest_first,
                                    neighbour_rows, squared_distances)
 from hillvallea.hillvalley import _test_point_counts as point_counts
@@ -312,7 +314,7 @@ class TestBatchedClusteringEquivalence:
         # Grid ties in populations far beyond the shortlist width, where
         # many rows, from the sorted line and the KD-tree alike, are cut
         # at a tie. On the grid of 4 points a unit nearly every point has
-        # duplicates, whose rows are cut at their first entry. On the
+        # duplicates, whose rows hold them first, by index. On the
         # finer line most points are distinct, and a row is often cut
         # between a left and a right neighbour at the same distance,
         # where the merge's order (right first) is not the index order:
@@ -401,26 +403,27 @@ def _neighbour_order(coords):
 def test_neighbour_rows_are_the_brute_force_order(d, n, kind, seed):
     # Every row clustering reads is a brute-force sort, from the sorted
     # line (d = 1) and the KD-tree alike: the first better neighbours the
-    # narrow first query finds, and the rows of any subset, narrow or
-    # full (the points the narrow rows leave open, the roots). A coarse
-    # grid repeats points and ties many distances, and so do the gaps of
+    # pairs within the radius prove, and the rows of any subset, narrow
+    # or full (the points the pairs leave open, the roots). A coarse grid
+    # repeats points and ties many distances, and so do the gaps of
     # points on a box centred at -3e8, which are multiples of its spacing
     # of floats. A row is read up to its first entry not proven and left
     # empty (index n) from there on, which is where the sorted distances
-    # tie; uniform points fill their rows, up to the population's end.
+    # tie, or where a point's copies fill the whole proposal; uniform
+    # points fill their rows, up to the population's end.
     rng = np.random.default_rng(seed)
     coords = {"uniform": lambda: rng.uniform(0.0, 1.0, (n, d)),
               "grid": lambda: rng.integers(0, 5, (n, d)) / 4.0,
               "far": lambda: rng.uniform(-3e8 - 0.5, -3e8 + 0.5, (n, d))}[kind]()
     k = 8 * (1 + d)
     order = _neighbour_order(coords)
-    rows = neighbour_rows(coords)
+    rows, pairs = neighbour_rows(coords)
     first = [-1] + [int(row[row < i][0]) for i, row in enumerate(order) if i]
-    nearest, full = nearest_better(rows, n, k)
+    nearest, full = nearest_better(coords, rows, pairs, k)
     found = nearest >= 0
     assert nearest[found].tolist() == np.array(first)[found].tolist()
     assert set(np.flatnonzero(~found[1:]) + 1) <= set(full)
-    for width in (NARROW_K - 1, k):
+    for width in (int(rng.integers(1, k + 1)), k):
         some = rng.choice(n, rng.integers(0, n + 1), replace=False)
         got = rows(some, width)
         assert got.shape == (len(some), width)
@@ -431,10 +434,79 @@ def test_neighbour_rows_are_the_brute_force_order(d, n, kind, seed):
             m = int((row < n).sum())
             assert row.tolist() == order[i, :m].tolist() + [n] * (width - m)
             if m < min(n, width):  # cut at a tie of entries m and m + 1
-                sq = squared_distances(coords, coords[i])[order[i, m:m + 2]]
+                sq = squared_distances(coords, coords[i])
+                tie = sq[order[i, m:m + 2]]
                 # the tree's margin is on distances: about twice it on squares
-                assert sq[1] <= sq[0] * (1 + 3 * ROUNDING_MARGIN)
+                assert tie[1] <= tie[0] * (1 + 3 * ROUNDING_MARGIN)
+                # a run of copies is cut only where it fills the proposal
+                assert tie[1] > 0 or (sq == 0).sum() > width
             assert kind != "uniform" or m == min(n, width)
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.integers(1, 5), n=st.integers(1, 200),
+       kind=st.sampled_from(["uniform", "copies", "clump", "far"]),
+       spacings=st.floats(0.5, 4.0), seed=st.integers(0, 2 ** 16))
+def test_pairs_are_the_brute_force_pairs(d, n, kind, spacings, seed):
+    # Every pair within r (1 - margin) by ``squared_distances``, and no
+    # pair past r (1 + margin), each once with its lower index first, from
+    # the sorted line (d = 1) and the KD-tree alike: on samples that repeat
+    # points, that clump far below the radius, and that lie on the floats
+    # near -3e8 with a radius of a few of their spacings (2**-24), where
+    # the line's window must round each value plus r down, not to nearest.
+    # A bound far above both the pair count and the cell count never skips.
+    rng = np.random.default_rng(seed)
+    spacing = n ** (-1 / d)
+    if kind == "far":
+        coords, spacing = -3e8 + rng.integers(-3, 4, (n, d)) * 2.0 ** -24, 2.0 ** -24
+    else:
+        coords = {"uniform": lambda: rng.uniform(0.0, 1.0, (n, d)),
+                  "copies": lambda: rng.integers(0, 3, (n, d)) / 2.0,
+                  "clump": lambda: np.where(rng.random((n, 1)) < 0.8,
+                                            rng.normal(0.5, 1e-9, (n, d)),
+                                            rng.uniform(0.0, 1.0, (n, d)))}[kind]()
+    r = spacings * spacing
+    got = neighbour_rows(np.asfortranarray(coords))[1](r, 10 ** 6)
+    assert got.shape == (len(got), 2)
+    assert (got[:, 0] < got[:, 1]).all()
+    listed = set(map(tuple, got.tolist()))
+    assert len(listed) == len(got)
+    a, b = np.triu_indices(n, 1)
+    sq = squared_distances(coords[a], coords[b])
+    within = set(zip(a[sq <= (r * (1 - ROUNDING_MARGIN)) ** 2].tolist(),
+                     b[sq <= (r * (1 - ROUNDING_MARGIN)) ** 2].tolist()))
+    near = set(zip(a[sq <= (r * (1 + ROUNDING_MARGIN)) ** 2].tolist(),
+                   b[sq <= (r * (1 + ROUNDING_MARGIN)) ** 2].tolist()))
+    assert within <= listed <= near
+
+
+@pytest.mark.parametrize("kind", ["identical", "clump"])
+def test_pair_step_skips_duplicates_and_clumps(kind):
+    # 20,000 points that nearly all pair with each other: the cell counts
+    # bound the pairs past the limit, so the pair query never runs and
+    # the pair step allocates a few copies of the sample, not the
+    # 2e8 pairs.
+    from scipy import spatial
+
+    class Tree(spatial.cKDTree):
+        def query_pairs(self, *args, **kwargs):
+            raise AssertionError("the pair query ran")
+
+    n, d = 20_000, 2
+    coords = np.asfortranarray(
+        np.full((n, d), 0.5) if kind == "identical"
+        else np.random.default_rng(0).normal(0.5, 1e-9, (n, d)))
+    with mock.patch.object(spatial, "cKDTree", Tree):
+        pairs = neighbour_rows(coords)[1]
+        tracemalloc.start()
+        try:
+            found = pairs(PAIR_RADIUS * n ** (-1 / d),
+                          PAIR_LIMIT * n * (8 * (1 + d) + 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert found is None
+    assert peak < 10 * coords.nbytes
 
 
 def test_continuous_line_builds_no_tree():

@@ -43,7 +43,7 @@ def test_parameter_table_names_every_constant():
     listed = {(m, name) for m, name, _ in rows}
     want = {(m, name) for m in modules
             for name in _module_constants(importlib.import_module(f"hillvallea.{m}"))}
-    assert len(rows) == len(listed) == 21
+    assert len(rows) == len(listed) == 22
     assert listed == want
     for m, name, value in rows:
         module = importlib.import_module(f"hillvallea.{m}")
